@@ -1,21 +1,26 @@
-// Clock-engine bench (the ISSUE-6 tentpole): epoch stamps + interned clocks
-// vs the PR-1 full-vector baseline.
+// Clock-engine bench: production's epoch stamps + interned clocks vs the
+// dense per-event vector clocks of the independent test oracle
+// (tests/oracle/, the paper's O(k^2) formulation).
 //
 // Three experiments, each one JSON row per sweep point (stdout and
 // --json-out, default BENCH_clock.json):
 //   clock_micro     join/leq/== ns/op on vector clocks at 2..128 threads
 //   clock_sweep     end-to-end frontier detection over the barrier-phased
 //                   race-free trace (the NPB long-clean-trace shape) at 64
-//                   threads, epoch vs vector engine
-//   clock_resident  streamed frontier resident clock-bytes at 64 threads,
-//                   epoch vs vector, on both the clean and the racy trace
+//                   threads vs the oracle's pairwise verdicts, each with its
+//                   own HB replay timed out of the sweep figure
+//   clock_resident  streamed frontier resident clock-bytes at 64 threads vs
+//                   what the same resident records would pin as the
+//                   oracle's dense clocks, on both the clean and the racy
+//                   trace
 //
 // Modes:
 //   bench_clock            full sweep (acceptance: >= 3x sweep speedup and
 //                          >= 5x lower resident clock-bytes at 64 threads)
-//   bench_clock --smoke    fast functional gate: engines verdict-identical,
-//                          epoch path no slower than vector, resident
-//                          clock-bytes >= 5x smaller; ctest runs this
+//   bench_clock --smoke    fast functional gate: verdicts equal the
+//                          oracle's, epoch sweep no slower than the oracle's,
+//                          resident clock-bytes >= 5x smaller; ctest runs
+//                          this
 //
 // Knobs: --threads (default 64), --vars, --phases, --reps, --json-out.
 #include <algorithm>
@@ -27,11 +32,13 @@
 
 #include "bench/fig_common.hpp"
 #include "src/detect/clock_arena.hpp"
+#include "src/detect/frontier.hpp"
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/util/flags.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
+#include "tests/oracle/oracle.hpp"
 
 namespace {
 
@@ -76,32 +83,51 @@ MicroTimes micro(int threads, int reps) {
 
 // -------------------------------------------- end-to-end frontier sweep
 
-using SeqPair = std::pair<trace::Seq, trace::Seq>;
-
-std::map<trace::ObjId, std::vector<SeqPair>> report_pairs(
-    const detect::ConcurrencyReport& report) {
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    auto& pairs = out[var];
-    for (const detect::ConcurrentPair& p : verdict.pairs) {
-      pairs.emplace_back(report.hb().events()[p.first].seq,
-                         report.hb().events()[p.second].seq);
-    }
-  }
-  return out;
-}
-
 struct SweepRun {
   double seconds = 0;
   std::size_t pairs_checked = 0;
   std::size_t epoch_hits = 0;
-  std::map<trace::ObjId, std::vector<SeqPair>> pairs;
+  bool matches_oracle = false;
 };
 
+/// Production verdicts equal the oracle's and every reported pair is racy
+/// per the oracle.
+bool matches_oracle(const detect::ConcurrencyReport& report,
+                    const oracle::Oracle& reference) {
+  const std::map<trace::ObjId, bool> expected = reference.verdicts();
+  if (report.verdicts().size() != expected.size()) return false;
+  for (const auto& [var, verdict] : report.verdicts()) {
+    const auto it = expected.find(var);
+    if (it == expected.end() || it->second != verdict.concurrent) return false;
+    for (const detect::ConcurrentPair& p : verdict.pairs) {
+      if (!oracle::accesses_racy(reference, p.first, p.second)) return false;
+    }
+  }
+  return true;
+}
+
+/// The per-variable frontier sweeps alone (grouping included) over a
+/// prebuilt HB index — what RaceDetector::analyze runs after its HB pass.
+double frontier_sweep_seconds(const detect::HbIndex& hb) {
+  util::Stopwatch timer;
+  std::map<trace::ObjId, std::vector<std::size_t>> by_var;
+  for (std::size_t i = 0; i < hb.events().size(); ++i) {
+    if (hb.events()[i].is_access()) by_var[hb.events()[i].obj].push_back(i);
+  }
+  const detect::RaceDetectorConfig cfg;
+  std::size_t pairs = 0;
+  for (const auto& [var, indices] : by_var) {
+    pairs += detect::frontier_sweep_variable(hb, cfg, var, indices).pairs.size();
+  }
+  const double seconds = timer.elapsed_seconds();
+  volatile std::size_t sink = pairs;  // keep the sweeps observable.
+  (void)sink;
+  return seconds;
+}
+
 SweepRun run_sweep(const std::vector<trace::Event>& events,
-                   detect::ClockEngine engine) {
+                   const oracle::Oracle& reference) {
   detect::RaceDetectorConfig cfg;
-  cfg.clock = engine;
   cfg.analysis_threads = 1;  // serial: measure the engine, not the pool.
   util::Stopwatch timer;
   const detect::ConcurrencyReport report =
@@ -112,7 +138,29 @@ SweepRun run_sweep(const std::vector<trace::Event>& events,
     run.pairs_checked += verdict.pairs_checked;
     run.epoch_hits += verdict.epoch_hits;
   }
-  run.pairs = report_pairs(report);
+  run.matches_oracle = matches_oracle(report, reference);
+  return run;
+}
+
+/// Oracle timings: its dense HB replay and its pairwise verdict pass.
+struct OracleRun {
+  double replay_seconds = 0;
+  double verdict_seconds = 0;
+};
+
+OracleRun run_oracle(const std::vector<trace::Event>& events) {
+  OracleRun run;
+  util::Stopwatch timer;
+  const oracle::Oracle reference(events, detect::DetectorMode::kHybrid);
+  run.replay_seconds = timer.elapsed_seconds();
+  timer.reset();
+  std::size_t racy = 0;
+  for (const auto& [var, concurrent] : reference.verdicts()) {
+    racy += concurrent ? 1 : 0;
+  }
+  run.verdict_seconds = timer.elapsed_seconds();
+  volatile std::size_t sink = racy;  // keep the verdict pass observable.
+  (void)sink;
   return run;
 }
 
@@ -120,24 +168,47 @@ SweepRun run_sweep(const std::vector<trace::Event>& events,
 
 struct ResidentRun {
   std::size_t peak_frontier_clock_bytes = 0;
+  /// The same resident records priced as the oracle's dense clocks (one
+  /// private full clock per record).
+  std::size_t peak_dense_clock_bytes = 0;
   std::size_t peak_hb_clock_bytes = 0;
   std::size_t promotions = 0;
   std::size_t racy_pairs = 0;
 };
 
 ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
-                         detect::ClockEngine engine,
                          std::size_t retire_every) {
+  const oracle::Oracle dense(events, detect::DetectorMode::kHybrid);
   detect::IncrementalHb hb;
   for (int t = 0; t < threads; ++t) hb.declare_thread(static_cast<trace::Tid>(t));
   detect::RaceDetectorConfig cfg;
-  cfg.clock = engine;
   detect::IncrementalFrontier frontier(cfg);
   ResidentRun run;
+  // Every record handed to the frontier, by event index; a record is
+  // resident exactly while the frontier still holds it.
+  std::vector<std::pair<std::weak_ptr<const detect::OnlineAccess>, std::size_t>>
+      records;
+  auto sample = [&] {
+    run.peak_frontier_clock_bytes = std::max(run.peak_frontier_clock_bytes,
+                                             frontier.resident_clock_bytes());
+    run.peak_hb_clock_bytes =
+        std::max(run.peak_hb_clock_bytes, hb.resident_clock_bytes());
+    records.erase(std::remove_if(records.begin(), records.end(),
+                                 [](const auto& r) { return r.first.expired(); }),
+                  records.end());
+    std::size_t dense_bytes = 0;
+    for (const auto& r : records) {
+      dense_bytes +=
+          dense.clock(r.second).heap_bytes() + sizeof(detect::VectorClock);
+    }
+    run.peak_dense_clock_bytes =
+        std::max(run.peak_dense_clock_bytes, dense_bytes);
+  };
   std::vector<detect::IncrementalFrontier::PairHit> hits;
   std::size_t since_retire = 0;
   std::size_t since_sample = 0;
-  for (const trace::Event& e : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const trace::Event& e = events[i];
     const detect::StampView stamp = hb.advance(e);
     if (e.is_access()) {
       auto rec = std::make_shared<detect::OnlineAccess>();
@@ -145,16 +216,14 @@ ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
       rec->tid = e.tid;
       rec->write = e.is_write();
       rec->locks = e.locks_held;
-      hits.clear();
+      records.emplace_back(rec, i);
       frontier.on_access(e.obj, std::move(rec), stamp, &hits);
       run.racy_pairs += hits.size();
+      hits.clear();
     }
     if (++since_sample >= 64) {  // sampling cadence mirrors OnlineAnalyzer.
       since_sample = 0;
-      run.peak_frontier_clock_bytes = std::max(run.peak_frontier_clock_bytes,
-                                               frontier.resident_clock_bytes());
-      run.peak_hb_clock_bytes =
-          std::max(run.peak_hb_clock_bytes, hb.resident_clock_bytes());
+      sample();
     }
     if (retire_every != 0 && ++since_retire >= retire_every) {
       since_retire = 0;
@@ -166,11 +235,7 @@ ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
       }
     }
   }
-  // Catch the final state too (short traces may never hit the cadence).
-  run.peak_frontier_clock_bytes =
-      std::max(run.peak_frontier_clock_bytes, frontier.resident_clock_bytes());
-  run.peak_hb_clock_bytes =
-      std::max(run.peak_hb_clock_bytes, hb.resident_clock_bytes());
+  sample();  // catch the final state too (short traces may miss the cadence).
   run.promotions = frontier.epoch_promotions();
   return run;
 }
@@ -200,47 +265,50 @@ void micro_rows(const Output& out, int reps) {
   }
 }
 
-/// Emits the sweep + resident rows; returns vector_seconds / epoch_seconds
-/// (0 on verdict mismatch, which also fails the caller's gate).
+/// Emits the sweep + resident rows; returns oracle_sweep / epoch_sweep.
 double engine_rows(const Output& out, int threads, int vars,
                    std::size_t phases, int reps, bool* verdicts_equal,
-                   std::size_t* epoch_bytes, std::size_t* vector_bytes) {
+                   std::size_t* epoch_bytes, std::size_t* dense_bytes) {
   const std::vector<trace::Event> clean =
       bench::phased_trace(phases, threads, vars);
+  const oracle::Oracle reference(clean, detect::DetectorMode::kHybrid);
 
   SweepRun epoch;
-  SweepRun vector;
-  epoch.seconds = vector.seconds = 1e100;
-  // The HB index build (advance + stamp materialization) is identical under
-  // both engines; timing it separately isolates the sweep the acceptance
-  // gate is about.  analyze() under kHybrid uses the default HB config.
+  OracleRun dense;
+  epoch.seconds = dense.replay_seconds = dense.verdict_seconds = 1e100;
+  // Each side's HB replay is timed apart from its sweep, so the ratio
+  // isolates the sweep the gate is about.  analyze() under kHybrid uses the
+  // default HB config.
   double hb_seconds = 1e100;
+  double epoch_sweep = 1e100;
   for (int r = 0; r < reps; ++r) {
-    const SweepRun e = run_sweep(clean, detect::ClockEngine::kEpoch);
+    const SweepRun e = run_sweep(clean, reference);
     if (e.seconds < epoch.seconds) epoch = e;
-    const SweepRun v = run_sweep(clean, detect::ClockEngine::kVector);
-    if (v.seconds < vector.seconds) vector = v;
+    const OracleRun o = run_oracle(clean);
+    dense.replay_seconds = std::min(dense.replay_seconds, o.replay_seconds);
+    dense.verdict_seconds = std::min(dense.verdict_seconds, o.verdict_seconds);
     util::Stopwatch timer;
     const detect::HbIndex hb =
         detect::HappensBeforeAnalysis().run(std::vector<trace::Event>(clean));
     hb_seconds = std::min(hb_seconds, timer.elapsed_seconds());
+    epoch_sweep = std::min(epoch_sweep, frontier_sweep_seconds(hb));
   }
-  *verdicts_equal = epoch.pairs == vector.pairs;
-  const double floor = 1e-9;  // clamp: subtraction can go sub-noise.
-  const double epoch_sweep = std::max(epoch.seconds - hb_seconds, floor);
-  const double vector_sweep = std::max(vector.seconds - hb_seconds, floor);
-  const double speedup = vector_sweep / epoch_sweep;
+  *verdicts_equal = epoch.matches_oracle;
+  const double oracle_sweep = dense.verdict_seconds;
+  const double speedup = oracle_sweep / epoch_sweep;
+  const double oracle_seconds = dense.replay_seconds + dense.verdict_seconds;
   {
     bench::JsonRow row("clock_sweep");
     row.field("threads", threads)
         .field("vars", vars)
         .field("events", clean.size())
         .field("epoch_seconds", epoch.seconds)
-        .field("vector_seconds", vector.seconds)
+        .field("oracle_seconds", oracle_seconds)
         .field("hb_seconds", hb_seconds)
+        .field("oracle_hb_seconds", dense.replay_seconds)
         .field("epoch_sweep_seconds", epoch_sweep)
-        .field("vector_sweep_seconds", vector_sweep)
-        .field("total_speedup", vector.seconds / epoch.seconds)
+        .field("oracle_sweep_seconds", oracle_sweep)
+        .field("total_speedup", oracle_seconds / epoch.seconds)
         .field("sweep_speedup", speedup)
         .field("pairs_checked", epoch.pairs_checked)
         .field("epoch_hits", epoch.epoch_hits)
@@ -249,41 +317,35 @@ double engine_rows(const Output& out, int threads, int vars,
   }
 
   // Resident clock bytes: the clean stream is the headline (epoch keeps
-  // 16-byte stamps; vector pins a full private clock per record), the racy
-  // stream shows promotions + arena sharing under real concurrency.
-  const ResidentRun clean_epoch =
-      run_resident(clean, threads, detect::ClockEngine::kEpoch, 256);
-  const ResidentRun clean_vector =
-      run_resident(clean, threads, detect::ClockEngine::kVector, 256);
-  *epoch_bytes = clean_epoch.peak_frontier_clock_bytes;
-  *vector_bytes = clean_vector.peak_frontier_clock_bytes;
+  // 16-byte stamps; a dense clock per record pins O(threads) bytes), the
+  // racy stream shows promotions + arena sharing under real concurrency.
+  const ResidentRun clean_run = run_resident(clean, threads, 256);
+  *epoch_bytes = clean_run.peak_frontier_clock_bytes;
+  *dense_bytes = clean_run.peak_dense_clock_bytes;
   {
     bench::JsonRow row("clock_resident");
     row.field("workload", "phased")
         .field("threads", threads)
         .field("events", clean.size())
-        .field("epoch_clock_bytes", clean_epoch.peak_frontier_clock_bytes)
-        .field("vector_clock_bytes", clean_vector.peak_frontier_clock_bytes)
-        .field("hb_clock_bytes", clean_epoch.peak_hb_clock_bytes)
-        .field("promotions", clean_epoch.promotions);
+        .field("epoch_clock_bytes", clean_run.peak_frontier_clock_bytes)
+        .field("dense_clock_bytes", clean_run.peak_dense_clock_bytes)
+        .field("hb_clock_bytes", clean_run.peak_hb_clock_bytes)
+        .field("promotions", clean_run.promotions);
     out.emit(row);
   }
   const std::vector<trace::Event> racy =
       bench::racy_trace(phases, threads, vars, /*seed=*/11);
-  const ResidentRun racy_epoch =
-      run_resident(racy, threads, detect::ClockEngine::kEpoch, 256);
-  const ResidentRun racy_vector =
-      run_resident(racy, threads, detect::ClockEngine::kVector, 256);
+  const ResidentRun racy_run = run_resident(racy, threads, 256);
   {
     bench::JsonRow row("clock_resident");
     row.field("workload", "racy")
         .field("threads", threads)
         .field("events", racy.size())
-        .field("epoch_clock_bytes", racy_epoch.peak_frontier_clock_bytes)
-        .field("vector_clock_bytes", racy_vector.peak_frontier_clock_bytes)
-        .field("hb_clock_bytes", racy_epoch.peak_hb_clock_bytes)
-        .field("promotions", racy_epoch.promotions)
-        .field("racy_pairs", racy_epoch.racy_pairs);
+        .field("epoch_clock_bytes", racy_run.peak_frontier_clock_bytes)
+        .field("dense_clock_bytes", racy_run.peak_dense_clock_bytes)
+        .field("hb_clock_bytes", racy_run.peak_hb_clock_bytes)
+        .field("promotions", racy_run.promotions)
+        .field("racy_pairs", racy_run.racy_pairs);
     out.emit(row);
   }
   return speedup;
@@ -320,28 +382,28 @@ int smoke(const Output& out) {
   // Small but still 64-wide: the acceptance shape at CI-friendly size.
   bool verdicts_equal = false;
   std::size_t epoch_bytes = 0;
-  std::size_t vector_bytes = 0;
+  std::size_t dense_bytes = 0;
   const double speedup = engine_rows(out, /*threads=*/64, /*vars=*/8,
                                      /*phases=*/64, /*reps=*/3,
                                      &verdicts_equal, &epoch_bytes,
-                                     &vector_bytes);
+                                     &dense_bytes);
   if (!verdicts_equal) {
-    std::fprintf(stderr, "smoke: engines reported different pair lists\n");
+    std::fprintf(stderr, "smoke: verdicts or pairs disagree with the oracle\n");
     return 1;
   }
-  // Regression gate (satellite e): the epoch path must never be slower than
-  // the vector baseline.  The 3x acceptance number is asserted on the full
+  // Regression gate: the epoch sweep must never be slower than the oracle's
+  // dense pairwise pass.  The 3x acceptance number is asserted on the full
   // run where timing noise is amortized; here we allow 10% jitter.
   if (speedup < 0.9) {
-    std::fprintf(stderr, "smoke: epoch sweep regressed vs vector (%.2fx)\n",
+    std::fprintf(stderr, "smoke: epoch sweep regressed vs oracle (%.2fx)\n",
                  speedup);
     return 1;
   }
-  if (epoch_bytes * 5 > vector_bytes) {
+  if (epoch_bytes * 5 > dense_bytes) {
     std::fprintf(stderr,
                  "smoke: epoch resident clock-bytes not 5x smaller "
                  "(%zu vs %zu)\n",
-                 epoch_bytes, vector_bytes);
+                 epoch_bytes, dense_bytes);
     return 1;
   }
   const double hb_ratio = hb_index_row(out, /*threads=*/16);
@@ -353,9 +415,9 @@ int smoke(const Output& out) {
     return 1;
   }
   std::printf(
-      "bench_clock --smoke: OK (sweep %.2fx, resident %zu vs %zu bytes, "
-      "hb index %.1fx smaller interned)\n",
-      speedup, epoch_bytes, vector_bytes, hb_ratio);
+      "bench_clock --smoke: OK (sweep %.2fx vs oracle, resident %zu vs %zu "
+      "dense bytes, hb index %.1fx smaller interned)\n",
+      speedup, epoch_bytes, dense_bytes, hb_ratio);
   return 0;
 }
 
@@ -380,22 +442,22 @@ int main(int argc, char** argv) {
     micro_rows(out, flags.get_int("reps", 200000));
     bool verdicts_equal = false;
     std::size_t epoch_bytes = 0;
-    std::size_t vector_bytes = 0;
+    std::size_t dense_bytes = 0;
     const double speedup = engine_rows(
         out, flags.get_int("threads", 64), flags.get_int("vars", 8),
         static_cast<std::size_t>(flags.get_int("phases", 256)),
         flags.get_int("reps-sweep", 3), &verdicts_equal, &epoch_bytes,
-        &vector_bytes);
+        &dense_bytes);
     if (!verdicts_equal) {
-      std::fprintf(stderr, "bench_clock: engines disagree\n");
+      std::fprintf(stderr, "bench_clock: production disagrees with oracle\n");
       status = 1;
     }
-    // ISSUE-6 acceptance: >= 3x sweep speedup, >= 5x lower clock-bytes.
+    // Acceptance: >= 3x sweep speedup, >= 5x lower clock-bytes.
     if (speedup < 3.0) {
       std::fprintf(stderr, "bench_clock: sweep speedup %.2fx < 3x\n", speedup);
       status = 1;
     }
-    if (epoch_bytes * 5 > vector_bytes) {
+    if (epoch_bytes * 5 > dense_bytes) {
       std::fprintf(stderr, "bench_clock: clock-bytes ratio below 5x\n");
       status = 1;
     }

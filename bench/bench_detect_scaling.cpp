@@ -1,6 +1,7 @@
-// Scaling bench for the detection pipeline (the ISSUE-1 tentpole): frontier
-// vs pairwise per-variable analysis over an events x threads x vars sweep,
-// plus multi-threaded TraceLog emission throughput (sharded ingest).
+// Scaling bench for the detection pipeline: the production frontier sweep
+// vs the paper's O(k^2) pairwise check (the independent test oracle,
+// tests/oracle/) over an events x threads x vars sweep, plus multi-threaded
+// TraceLog emission throughput (sharded ingest).
 //
 // Modes:
 //   bench_detect_scaling                  google-benchmark suite, then the
@@ -8,9 +9,11 @@
 //                                         per line via bench::JsonRow)
 //   bench_detect_scaling --summary-only   skip the google-benchmark suite
 //   bench_detect_scaling --smoke          fast functional check of the perf
-//                                         path (frontier == pairwise verdicts,
-//                                         sharded emit integrity); ctest runs
-//                                         this at build time
+//                                         path (frontier verdicts == oracle
+//                                         verdicts, reported pairs racy per
+//                                         the oracle, sharded emit
+//                                         integrity); ctest runs this at
+//                                         build time
 //
 // Sweep knobs: --max-events (largest events-per-variable point, default
 // 16000), --threads, --vars, --reps.
@@ -26,6 +29,7 @@
 #include "src/trace/trace_log.hpp"
 #include "src/util/flags.hpp"
 #include "src/util/stats.hpp"
+#include "tests/oracle/oracle.hpp"
 
 namespace {
 
@@ -35,22 +39,31 @@ using namespace home;
 using bench::phased_trace;
 using bench::racy_trace;
 
-detect::RaceDetectorConfig algo_config(detect::DetectorAlgo algo,
-                                       std::size_t analysis_threads = 1) {
+detect::RaceDetectorConfig frontier_config(std::size_t analysis_threads = 1) {
   detect::RaceDetectorConfig cfg;
-  cfg.algo = algo;
   cfg.analysis_threads = analysis_threads;
   return cfg;
 }
 
+/// One oracle pass: dense clocks replayed from the events plus the O(k^2)
+/// pairwise verdicts.  Returns the number of concurrent variables.
+std::size_t oracle_concurrent_vars(const std::vector<trace::Event>& events,
+                                   detect::DetectorMode mode) {
+  std::size_t n = 0;
+  for (const auto& [var, racy] : oracle::Oracle(events, mode).verdicts()) {
+    n += racy ? 1 : 0;
+  }
+  return n;
+}
+
 // ------------------------------------------------- google-benchmark suite
 
-void BM_DetectPhased(benchmark::State& state, detect::DetectorAlgo algo) {
+void BM_DetectFrontier(benchmark::State& state) {
   const auto events_per_var = static_cast<std::size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   const int vars = static_cast<int>(state.range(2));
   const auto events = phased_trace(events_per_var, threads, vars);
-  const detect::RaceDetectorConfig cfg = algo_config(algo);
+  const detect::RaceDetectorConfig cfg = frontier_config();
   for (auto _ : state) {
     auto report = detect::RaceDetector(cfg).analyze(events);
     benchmark::DoNotOptimize(report.total_pairs());
@@ -58,29 +71,33 @@ void BM_DetectPhased(benchmark::State& state, detect::DetectorAlgo algo) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events.size()));
 }
-
-void BM_DetectFrontier(benchmark::State& state) {
-  BM_DetectPhased(state, detect::DetectorAlgo::kFrontier);
-}
-void BM_DetectPairwise(benchmark::State& state) {
-  BM_DetectPhased(state, detect::DetectorAlgo::kPairwise);
+void BM_DetectOracle(benchmark::State& state) {
+  const auto events_per_var = static_cast<std::size_t>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
+  const int vars = static_cast<int>(state.range(2));
+  const auto events = phased_trace(events_per_var, threads, vars);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        oracle_concurrent_vars(events, detect::DetectorMode::kHybrid));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events.size()));
 }
 // events-per-var x threads x vars.
 BENCHMARK(BM_DetectFrontier)
     ->ArgsProduct({{1000, 4000, 16000}, {2, 8}, {4}})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DetectPairwise)
+BENCHMARK(BM_DetectOracle)
     ->ArgsProduct({{1000, 4000}, {2, 8}, {4}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_DetectParallelVars(benchmark::State& state) {
-  // Parallel per-variable fan-out, worker count = range(0).  Measured on the
-  // pairwise engine, where per-variable work is heavy enough to fan out; the
-  // frontier engine leaves the (serial) HB pass dominant, so extra workers
-  // barely move it — see the frontier vs frontier-par rows in the summary.
+  // Parallel per-variable fan-out, worker count = range(0).  The frontier
+  // sweep leaves the (serial) HB pass dominant, so extra workers barely move
+  // it — see the frontier vs frontier-par rows in the summary.
   const auto events = phased_trace(1500, 4, 16);
-  const detect::RaceDetectorConfig cfg = algo_config(
-      detect::DetectorAlgo::kPairwise, static_cast<std::size_t>(state.range(0)));
+  const detect::RaceDetectorConfig cfg =
+      frontier_config(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     auto report = detect::RaceDetector(cfg).analyze(events);
     benchmark::DoNotOptimize(report.total_pairs());
@@ -116,13 +133,13 @@ BENCHMARK(BM_ShardedEmitContended)->Threads(1)->Threads(2)->Threads(4)->Threads(
 
 // --------------------------------------------------------- JSON summary mode
 
-double measure_detect_seconds(const std::vector<trace::Event>& events,
-                              const detect::RaceDetectorConfig& cfg, int reps) {
+/// Best-of-reps seconds for `pass` (one full detection over the trace).
+template <typename Pass>
+double best_seconds(int reps, Pass pass) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch timer;
-    auto report = detect::RaceDetector(cfg).analyze(events);
-    benchmark::DoNotOptimize(report.total_pairs());
+    benchmark::DoNotOptimize(pass());
     const double seconds = timer.elapsed_seconds();
     if (r == 0 || seconds < best) best = seconds;
   }
@@ -151,28 +168,37 @@ void run_json_summary(const util::Flags& flags) {
   for (std::size_t n : sweep) std::printf("%12zu", n);
   std::printf("\n");
 
-  std::map<std::size_t, double> frontier_s, pairwise_s;
+  std::map<std::size_t, double> frontier_s, oracle_s;
   struct Row {
     const char* name;
-    detect::DetectorAlgo algo;
+    bool oracle;  ///< the pairwise reference instead of production.
     std::size_t workers;
   };
   const Row rows[] = {
-      {"frontier", detect::DetectorAlgo::kFrontier, 1},
-      {"frontier-par", detect::DetectorAlgo::kFrontier, 0},
-      {"pairwise", detect::DetectorAlgo::kPairwise, 1},
+      {"frontier", false, 1},
+      {"frontier-par", false, 0},
+      {"oracle", true, 1},
   };
   for (const Row& row : rows) {
     std::printf("%-22s", row.name);
     for (std::size_t n : sweep) {
       const auto events = phased_trace(n, threads, vars);
+      const detect::RaceDetectorConfig cfg = frontier_config(row.workers);
       const double seconds =
-          measure_detect_seconds(events, algo_config(row.algo, row.workers),
-                                 reps);
-      if (row.algo == detect::DetectorAlgo::kFrontier && row.workers == 1) {
+          row.oracle
+              ? best_seconds(reps,
+                             [&] {
+                               return oracle_concurrent_vars(
+                                   events, detect::DetectorMode::kHybrid);
+                             })
+              : best_seconds(reps, [&] {
+                  return detect::RaceDetector(cfg).analyze(events).total_pairs();
+                });
+      if (row.oracle) {
+        oracle_s[n] = seconds;
+      } else if (row.workers == 1) {
         frontier_s[n] = seconds;
       }
-      if (row.algo == detect::DetectorAlgo::kPairwise) pairwise_s[n] = seconds;
       std::printf("%12.5f", seconds);
       bench::JsonRow("detect_scaling")
           .field("algo", row.name)
@@ -188,11 +214,11 @@ void run_json_summary(const util::Flags& flags) {
 
   const std::size_t largest = sweep.back();
   const double speedup = frontier_s[largest] > 0.0
-                             ? pairwise_s[largest] / frontier_s[largest]
+                             ? oracle_s[largest] / frontier_s[largest]
                              : 0.0;
   std::printf("\nfrontier speedup at events/var=%zu: %.1fx "
-              "(pairwise %.4fs vs frontier %.4fs)\n",
-              largest, speedup, pairwise_s[largest], frontier_s[largest]);
+              "(oracle %.4fs vs frontier %.4fs)\n",
+              largest, speedup, oracle_s[largest], frontier_s[largest]);
   bench::JsonRow("detect_scaling")
       .field("algo", "speedup")
       .field("events_per_var", largest)
@@ -200,15 +226,16 @@ void run_json_summary(const util::Flags& flags) {
       .field("vars", vars)
       .field("speedup", speedup)
       .print(stderr);
-  std::printf("(JSON rows on stderr; expected shape: pairwise grows ~4x per "
-              "sweep step squared, frontier near-linearly)\n");
+  std::printf("(JSON rows on stderr; expected shape: the O(k^2) oracle grows "
+              "~16x per 4x sweep step, frontier near-linearly)\n");
 }
 
 // ----------------------------------------------------------------- smoke mode
 
 /// Fast functional check of the perf path, run by ctest at build time: the
-/// two algorithms must agree on phased and racy traces in every mode, and
-/// the sharded log must survive contended emission intact.
+/// frontier must agree with the oracle's verdicts on phased and racy traces
+/// in every mode and report only oracle-racy pairs, and the sharded log must
+/// survive contended emission intact.
 int run_smoke() {
   int failures = 0;
   auto expect = [&failures](bool ok, const char* what) {
@@ -224,20 +251,20 @@ int run_smoke() {
     for (const detect::DetectorMode mode :
          {detect::DetectorMode::kHybrid, detect::DetectorMode::kLocksetOnly,
           detect::DetectorMode::kHbOnly}) {
-      detect::RaceDetectorConfig frontier = algo_config(
-          detect::DetectorAlgo::kFrontier, 2);
+      detect::RaceDetectorConfig frontier = frontier_config(2);
       frontier.mode = mode;
-      detect::RaceDetectorConfig pairwise = algo_config(
-          detect::DetectorAlgo::kPairwise, 1);
-      pairwise.mode = mode;
       const auto fr = detect::RaceDetector(frontier).analyze(events);
-      const auto pw = detect::RaceDetector(pairwise).analyze(events);
-      expect(fr.verdicts().size() == pw.verdicts().size(),
-             "verdict counts differ");
+      const oracle::Oracle reference(events, mode);
+      const auto expected = reference.verdicts();
+      expect(fr.verdicts().size() == expected.size(), "verdict counts differ");
       for (const auto& [var, verdict] : fr.verdicts()) {
-        const detect::VariableVerdict* other = pw.verdict(var);
-        expect(other != nullptr && other->concurrent == verdict.concurrent,
-               "frontier/pairwise verdict mismatch");
+        const auto it = expected.find(var);
+        expect(it != expected.end() && it->second == verdict.concurrent,
+               "frontier/oracle verdict mismatch");
+        for (const detect::ConcurrentPair& p : verdict.pairs) {
+          expect(oracle::accesses_racy(reference, p.first, p.second),
+                 "frontier reported a pair the oracle does not find racy");
+        }
       }
     }
   }

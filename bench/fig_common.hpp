@@ -11,6 +11,7 @@
 
 #include "src/apps/app.hpp"
 #include "src/apps/toolrun.hpp"
+#include "src/obs/export.hpp"
 #include "src/trace/event.hpp"
 #include "src/util/flags.hpp"
 #include "src/util/rng.hpp"
@@ -87,11 +88,12 @@ inline std::vector<trace::Event> racy_trace(std::size_t events_per_var,
 class JsonRow {
  public:
   explicit JsonRow(const std::string& bench) {
-    body_ = "{\"bench\":\"" + escaped(bench) + "\"";
+    body_ = "{\"bench\":\"" + obs::json_escape(bench) + "\"";
   }
 
   JsonRow& field(const char* key, const std::string& value) {
-    body_ += std::string(",\"") + key + "\":\"" + escaped(value) + "\"";
+    body_ += std::string(",\"") + key + "\":\"" + obs::json_escape(value) +
+             "\"";
     return *this;
   }
   JsonRow& field(const char* key, const char* value) {
@@ -117,14 +119,6 @@ class JsonRow {
   }
 
  private:
-  static std::string escaped(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
   std::string body_;
 };
 

@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 
+#include "src/obs/export.hpp"
 #include "src/sast/analysis.hpp"
 #include "src/sast/commstat.hpp"
 #include "src/sast/diagnostics.hpp"
@@ -31,6 +32,8 @@
 #include "src/util/strings.hpp"
 
 namespace {
+
+using home::obs::json_escape;
 
 constexpr const char* kDefaultSource = R"(#include <mpi.h>
 int main() {
@@ -53,28 +56,6 @@ int main() {
   return 0;
 }
 )";
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void print_json(const std::string& name,
                 const home::sast::AnalysisResult& analysis,

@@ -1,6 +1,8 @@
 #include "src/apps/injections.hpp"
 
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "src/homp/runtime.hpp"
@@ -68,6 +70,16 @@ void inject_v3(Process& p, InjectionStyle style) {
   }
 }
 
+/// The shared request slot of one rank's V4 team.  One slot per world rank,
+/// created on first use (std::map nodes never move, so a rank's reference
+/// stays valid while other ranks add theirs); no two ranks ever share one.
+simmpi::Request& v4_request_slot(int rank) {
+  static std::mutex mu;
+  static std::map<int, simmpi::Request> slots;
+  std::lock_guard<std::mutex> lock(mu);
+  return slots[rank];
+}
+
 // V4: the even rank posts one receive request and both threads complete it
 // with MPI_Wait; the partner's send is delayed so both waits overlap.
 void inject_v4(Process& p) {
@@ -85,19 +97,15 @@ void inject_v4(Process& p) {
   }
   // Every team thread participates (single has an implied team barrier, so
   // skipping threads here would desynchronize the team's barrier episodes).
-  // One shared request per region instance, stashed in a per-rank slot and
+  // One shared request per region instance, stashed in this rank's slot and
   // published to the team through a single construct.
   static thread_local int buf;  // receiving rank's payload slot.
-  struct Shared {
-    simmpi::Request request;
-  };
-  static Shared shared[64];  // indexed by rank; injections run once per app.
-  auto& slot = shared[static_cast<std::size_t>(p.rank() % 64)];
+  simmpi::Request& request = v4_request_slot(p.rank());
   homp::single([&] {
-    slot.request = p.irecv(&buf, 1, Datatype::kInt, partner, tag, kCommWorld,
-                           {"inject.v4.irecv"});
+    request = p.irecv(&buf, 1, Datatype::kInt, partner, tag, kCommWorld,
+                      {"inject.v4.irecv"});
   });
-  p.wait(slot.request, nullptr, {"inject.v4.wait"});
+  p.wait(request, nullptr, {"inject.v4.wait"});
 }
 
 // V5: a probe races a receive on the same (source, tag, comm).

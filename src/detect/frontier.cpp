@@ -67,7 +67,9 @@ VariableVerdict frontier_sweep_variable(const HbIndex& hb,
       ++verdict.pairs_checked;
       // Frontier candidates are all seq-earlier than i, so the ordered-pair
       // (epoch-capable) predicate applies.
-      if (!accesses_racy_ordered(cfg, hb, j, i, &verdict.epoch_hits)) continue;
+      if (!accesses_racy_ordered(cfg.mode, hb, j, i, &verdict.epoch_hits)) {
+        continue;
+      }
       verdict.concurrent = true;
       if (cfg.max_pairs_per_var != 0 &&
           verdict.pairs.size() >= cfg.max_pairs_per_var) {
@@ -93,16 +95,14 @@ VariableVerdict frontier_sweep_variable(const HbIndex& hb,
     }
     if (!replaced) mine.keyed.push_back(i);
     entry_add(i);
-    if (cfg.frontier_history > 0) {
-      if (mine.recent.size() < cfg.frontier_history) {
-        mine.recent.push_back(i);
-      } else {
-        entry_remove(mine.recent[mine.recent_next]);
-        mine.recent[mine.recent_next] = i;
-        mine.recent_next = (mine.recent_next + 1) % cfg.frontier_history;
-      }
-      entry_add(i);
+    if (mine.recent.size() < kFrontierHistory) {
+      mine.recent.push_back(i);
+    } else {
+      entry_remove(mine.recent[mine.recent_next]);
+      mine.recent[mine.recent_next] = i;
+      mine.recent_next = (mine.recent_next + 1) % kFrontierHistory;
     }
+    entry_add(i);
   }
 
   return verdict;

@@ -1,5 +1,6 @@
 #include "src/detect/happens_before.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -7,6 +8,22 @@
 #include "src/obs/telemetry.hpp"
 
 namespace home::detect {
+
+namespace {
+
+constexpr std::uint32_t kind_bit(trace::EventKind k) {
+  return std::uint32_t{1} << static_cast<unsigned>(k);
+}
+constexpr std::uint32_t kSyncKinds =
+    kind_bit(trace::EventKind::kMsgSend) |
+    kind_bit(trace::EventKind::kMsgRecv) |
+    kind_bit(trace::EventKind::kThreadFork) |
+    kind_bit(trace::EventKind::kThreadJoin) |
+    kind_bit(trace::EventKind::kBarrier) |
+    kind_bit(trace::EventKind::kLockAcquire) |
+    kind_bit(trace::EventKind::kLockRelease);
+
+}  // namespace
 
 HbIndex::HbIndex(std::vector<trace::Event> events,
                  std::vector<VectorClock> stamps)
@@ -16,8 +33,19 @@ HbIndex::HbIndex(std::vector<trace::Event> events,
   stamps_.reserve(stamps.size());
   std::vector<std::uint64_t> frame;
   for (std::size_t i = 0; i < stamps.size(); ++i) {
+    const trace::Event& e = events_[i];
+    const auto t = static_cast<std::size_t>(e.tid);
+    if (t >= thread_events_.size()) thread_events_.resize(t + 1);
+    std::vector<std::uint32_t>& mine = thread_events_[t];
+    if ((kind_bit(e.kind) & kSyncKinds) != 0) {
+      sync_events_.push_back(SyncEvent{static_cast<std::uint32_t>(i),
+                                       static_cast<std::uint32_t>(mine.size()),
+                                       e.tid, e.kind, e.obj, e.aux});
+    }
+    mine.push_back(static_cast<std::uint32_t>(i));
+
     FrameStamp s;
-    s.tid = events_[i].tid;
+    s.tid = e.tid;
     s.own = stamps[i].get(s.tid);
     dense_stamp_bytes_ += stamps[i].heap_bytes();
     frame.assign(stamps[i].data(), stamps[i].data() + stamps[i].size());
@@ -61,24 +89,35 @@ std::size_t HbIndex::index_of_seq(trace::Seq seq) const {
   return npos;
 }
 
+const std::vector<std::uint32_t>& HbIndex::events_of(trace::Tid tid) const {
+  static const std::vector<std::uint32_t> kNone;
+  const auto t = static_cast<std::size_t>(tid);
+  return t < thread_events_.size() ? thread_events_[t] : kNone;
+}
+
+std::size_t HbIndex::thread_position(std::size_t i) const {
+  const std::vector<std::uint32_t>& mine = events_of(stamps_[i].tid);
+  // Dense own components put event i at position own - 1; the search only
+  // runs for stamps that did not come from the HB replay.
+  const std::uint64_t own = stamps_[i].own;
+  if (own >= 1 && own <= mine.size() && mine[own - 1] == i) return own - 1;
+  return static_cast<std::size_t>(
+      std::lower_bound(mine.begin(), mine.end(),
+                       static_cast<std::uint32_t>(i)) -
+      mine.begin());
+}
+
 std::size_t HbIndex::knowledge_frontier(std::size_t dst, trace::Tid tid) const {
   const std::uint64_t view = stamp_get(dst, tid);
   if (view == 0) return npos;
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    if (events_[i].tid != tid) continue;
-    if (stamps_[i].tid == tid && stamps_[i].own == view) return i;
+  const std::vector<std::uint32_t>& mine = events_of(tid);
+  if (view <= mine.size() && stamps_[mine[view - 1]].own == view) {
+    return mine[view - 1];
+  }
+  for (std::uint32_t i : mine) {
+    if (stamps_[i].own == view) return i;
   }
   return npos;
-}
-
-bool is_potential_hb_race(const HbIndex& hb, std::size_t i, std::size_t j) {
-  const trace::Event& a = hb.events()[i];
-  const trace::Event& b = hb.events()[j];
-  if (a.tid == b.tid) return false;
-  if (a.obj != b.obj) return false;
-  if (!a.is_access() || !b.is_access()) return false;
-  if (!a.is_write() && !b.is_write()) return false;
-  return hb.concurrent(i, j);
 }
 
 HbIndex HappensBeforeAnalysis::run(std::vector<trace::Event> events) const {

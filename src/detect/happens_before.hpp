@@ -81,11 +81,35 @@ class HbIndex {
   /// Find the index of the event with the given seq stamp (or npos).
   std::size_t index_of_seq(trace::Seq seq) const;
 
+  /// Seq-ordered event indices of thread `tid` (empty for a thread with no
+  /// events).  Built in the same pass that interns the stamps, so consumers
+  /// (diagnose::SyncGraph, certificate endpoints) never rescan the trace.
+  const std::vector<std::uint32_t>& events_of(trace::Tid tid) const;
+
+  /// Position of event i within events_of(events()[i].tid).
+  std::size_t thread_position(std::size_t i) const;
+
+  /// An event that can carry a cross-thread HB edge (message, fork/join,
+  /// barrier, lock), copied out of the trace with its in-thread position so
+  /// edge builders scan one compact array instead of the large Events.
+  struct SyncEvent {
+    std::uint32_t idx = 0;  ///< index into events().
+    std::uint32_t pos = 0;  ///< position within events_of(tid).
+    trace::Tid tid = 0;
+    trace::EventKind kind = trace::EventKind::kBarrier;
+    trace::ObjId obj = 0;
+    std::uint64_t aux = 0;
+  };
+
+  /// The sync events in seq order — typically a small fraction of the trace.
+  const std::vector<SyncEvent>& sync_events() const { return sync_events_; }
+
   /// The knowledge frontier: the index of the last event of `tid` that
   /// events()[dst] is HB-after — i.e. the unique event of `tid` whose own
   /// stamp component equals stamp_get(dst, tid).  Uniqueness holds because
   /// the HB replay bumps the issuing thread's own component at *every*
-  /// event, so per-thread own components are dense 1..n in seq order.
+  /// event, so per-thread own components are dense 1..n in seq order and
+  /// the frontier is events_of(tid)[view - 1].
   /// Returns npos when dst's view of `tid` is zero (never synchronized).
   /// This is what anchors a diagnose:: witness chain.
   std::size_t knowledge_frontier(std::size_t dst, trace::Tid tid) const;
@@ -108,12 +132,10 @@ class HbIndex {
 
   std::vector<trace::Event> events_;
   std::vector<FrameStamp> stamps_;
+  std::vector<std::vector<std::uint32_t>> thread_events_;  ///< by tid.
+  std::vector<SyncEvent> sync_events_;
   std::size_t dense_stamp_bytes_ = 0;
 };
-
-/// Pairwise HB-race check mirroring the paper's formulation: same location,
-/// different threads, at least one write, unordered in HB.
-bool is_potential_hb_race(const HbIndex& hb, std::size_t i, std::size_t j);
 
 class HappensBeforeAnalysis {
  public:

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "src/detect/frontier.hpp"
+
 namespace home::detect {
 
-bool online_accesses_racy(DetectorMode mode, ClockEngine engine,
-                          const OnlineAccess& a, const OnlineAccess& b,
-                          const StampView& bv) {
+bool online_accesses_racy(DetectorMode mode, const OnlineAccess& a,
+                          const OnlineAccess& b, const StampView& bv) {
   if (a.tid == b.tid) return false;
   if (!a.write && !b.write) return false;
   if (mode == DetectorMode::kLocksetOnly) {
@@ -14,12 +15,8 @@ bool online_accesses_racy(DetectorMode mode, ClockEngine engine,
   }
   // b was stamped at-or-after a and on another thread, so b <= a is
   // impossible (b's own component already exceeds a's view of it) and
-  // concurrency reduces to !(a <= b).  Under kEpoch that is the O(1) epoch
-  // test; under kVector we keep the full two-sided arithmetic of the PR-1
-  // baseline (same verdict, measured as the ablation).
-  const bool unordered = engine == ClockEngine::kEpoch
-                             ? !a.stamp.leq_later(bv)
-                             : stamp_concurrent_full(a.stamp, bv);
+  // concurrency reduces to !(a <= b) — the O(1) epoch test.
+  const bool unordered = !a.stamp.leq_later(bv);
   switch (mode) {
     case DetectorMode::kHybrid:
       return unordered && trace::locksets_disjoint(a.locks, b.locks);
@@ -228,14 +225,8 @@ void IncrementalFrontier::on_access(trace::ObjId var,
   if (meta.saturated) return;  // pair budget spent: the sweep has stopped.
   VarFrontier& vf = vars_[var];
 
-  // Retained representation per the clock engine: a 16-byte epoch that is
-  // promoted below on the first racy hit, or the baseline private full copy.
-  if (cfg_.clock == ClockEngine::kEpoch) {
-    rec->stamp = Stamp::epoch(view);
-  } else {
-    rec->stamp = Stamp::full_copy(view);
-    ++clock_allocs_;
-  }
+  // A 16-byte epoch, promoted below on the record's first racy hit.
+  rec->stamp = Stamp::epoch(view);
 
   // Candidates: the other threads' frontier entries, seq-sorted and
   // deduplicated — the exact candidate order of frontier_sweep_variable.
@@ -253,12 +244,11 @@ void IncrementalFrontier::on_access(trace::ObjId var,
                                 }),
                     candidates_.end());
 
-  if (cfg_.clock == ClockEngine::kEpoch &&
-      cfg_.mode != DetectorMode::kLocksetOnly) {
+  if (cfg_.mode != DetectorMode::kLocksetOnly) {
     epoch_hits_ += candidates_.size();
   }
   for (const auto& cand : candidates_) {
-    if (!online_accesses_racy(cfg_.mode, cfg_.clock, *cand, *rec, view)) {
+    if (!online_accesses_racy(cfg_.mode, *cand, *rec, view)) {
       continue;
     }
     meta.concurrent = true;
@@ -271,7 +261,7 @@ void IncrementalFrontier::on_access(trace::ObjId var,
       return;
     }
     ++meta.pairs;
-    if (cfg_.clock == ClockEngine::kEpoch && !rec->stamp.has_clock()) {
+    if (!rec->stamp.has_clock()) {
       // True concurrency: this record may matter downstream, so it earns a
       // full (interned, shared) clock.  Non-racy records — the overwhelming
       // majority — stay epoch-only forever.
@@ -292,13 +282,11 @@ void IncrementalFrontier::on_access(trace::ObjId var,
     }
   }
   if (!replaced) mine.keyed.push_back(rec);
-  if (cfg_.frontier_history > 0) {
-    if (mine.recent.size() < cfg_.frontier_history) {
-      mine.recent.push_back(std::move(rec));
-    } else {
-      mine.recent[mine.recent_next] = std::move(rec);
-      mine.recent_next = (mine.recent_next + 1) % cfg_.frontier_history;
-    }
+  if (mine.recent.size() < kFrontierHistory) {
+    mine.recent.push_back(std::move(rec));
+  } else {
+    mine.recent[mine.recent_next] = std::move(rec);
+    mine.recent_next = (mine.recent_next + 1) % kFrontierHistory;
   }
 }
 

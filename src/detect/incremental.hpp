@@ -20,13 +20,10 @@
 //     plus the recent-access ring, fed one access at a time.  New racy pairs
 //     are surfaced immediately instead of collected in a verdict.
 //
-// Clock engine (ISSUE-6): advance() returns an allocation-free StampView
-// (epoch + clock span); what each *retained* record stores is chosen by
-// RaceDetectorConfig::clock.  Under ClockEngine::kEpoch records keep 16-byte
-// epochs and promote to interned full clocks only on true concurrency; under
-// ClockEngine::kVector every record keeps a private full copy (the PR-1
-// baseline).  All retained-vs-incoming and retained-vs-watermark checks are
-// epoch-exact (see stamp.hpp), so both engines produce identical verdicts.
+// Stamps: advance() returns an allocation-free StampView (epoch + clock
+// span); each *retained* record keeps a 16-byte epoch and promotes to an
+// interned full clock only on true concurrency.  All retained-vs-incoming
+// and retained-vs-watermark checks are epoch-exact (see stamp.hpp).
 //
 // Epoch-based retirement: a retained record with stamp V can never race any
 // future event once every thread that may still emit has a clock >= V —
@@ -57,8 +54,9 @@ namespace home::detect {
 
 /// One access retained by the streaming frontier: the slice of the original
 /// Event the race predicate and the violation matcher need, plus the HB
-/// stamp (epoch or full, per the clock engine), plus the aux-linked MPI call
-/// event (shared so the record can outlive the analyzer's call table).
+/// stamp (an epoch, promoted to a full clock on concurrency), plus the
+/// aux-linked MPI call event (shared so the record can outlive the
+/// analyzer's call table).
 struct OnlineAccess {
   trace::Seq seq = 0;
   trace::Tid tid = trace::kNoTid;
@@ -71,9 +69,8 @@ struct OnlineAccess {
 /// The pairwise racy-access predicate over a retained record `a` and the
 /// *incoming* record `b` whose stamp view is `bv` (b was stamped at-or-after
 /// a, which makes the epoch test exact; see stamp.hpp).
-bool online_accesses_racy(DetectorMode mode, ClockEngine engine,
-                          const OnlineAccess& a, const OnlineAccess& b,
-                          const StampView& bv);
+bool online_accesses_racy(DetectorMode mode, const OnlineAccess& a,
+                          const OnlineAccess& b, const StampView& bv);
 
 class IncrementalHb {
  public:
@@ -162,10 +159,9 @@ class IncrementalFrontier {
 
   /// Feed one access of `var` (records must arrive in seq order across the
   /// whole stream).  `view` is the access's stamp view from the same
-  /// advance() call; on_access fills rec->stamp per the configured clock
-  /// engine — a 16-byte epoch that is promoted to an interned full clock the
-  /// first time the record proves racy (kEpoch), or a private full copy
-  /// (kVector).  New racy pairs are appended to `hits` in the same order the
+  /// advance() call; on_access fills rec->stamp with a 16-byte epoch that
+  /// is promoted to an interned full clock the first time the record proves
+  /// racy.  New racy pairs are appended to `hits` in the same order the
   /// post-mortem frontier sweep reports them.
   void on_access(trace::ObjId var, std::shared_ptr<OnlineAccess> rec,
                  const StampView& view, std::vector<PairHit>* hits);
@@ -189,7 +185,6 @@ class IncrementalFrontier {
   /// loop; the analyzer folds deltas into obs::Registry at checkpoints.
   std::size_t epoch_hits() const { return epoch_hits_; }
   std::size_t epoch_promotions() const { return promotions_; }
-  std::size_t clock_allocs() const { return clock_allocs_; }
 
  private:
   struct ThreadFrontier {
@@ -206,9 +201,8 @@ class IncrementalFrontier {
   FlatMap<VarFrontier> vars_;
   std::map<trace::ObjId, VarMeta> meta_;
   std::vector<std::shared_ptr<const OnlineAccess>> candidates_;  ///< scratch.
-  std::size_t epoch_hits_ = 0;    ///< checks answered on the O(1) epoch path.
-  std::size_t promotions_ = 0;    ///< records promoted epoch -> full clock.
-  std::size_t clock_allocs_ = 0;  ///< private full-clock copies (kVector).
+  std::size_t epoch_hits_ = 0;  ///< checks answered on the O(1) epoch path.
+  std::size_t promotions_ = 0;  ///< records promoted epoch -> full clock.
 };
 
 }  // namespace home::detect

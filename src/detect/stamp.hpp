@@ -10,11 +10,9 @@
 //     the clock is current.
 //
 //   * Stamp — the *retained* face: always carries the epoch, optionally a
-//     full immutable clock (ClockRef).  Under ClockEngine::kEpoch, records
-//     retain the 16-byte epoch only and promote to an interned full clock
-//     the first time they participate in true concurrency; under
-//     ClockEngine::kVector every stamp retains a private full copy (the
-//     PR-1 baseline representation, kept for cross-checks and ablation).
+//     full immutable clock (ClockRef).  Records retain the 16-byte epoch
+//     only and promote to an interned full clock the first time they
+//     participate in true concurrency.
 //
 // Why the epoch is enough (the FastTrack lemma, which holds here because
 // IncrementalHb bumps the issuing thread's component at *every* event and
@@ -59,9 +57,6 @@ class Stamp {
 
   /// Epoch-only retention: 16 bytes, no clock payload.
   static Stamp epoch(const StampView& v) { return Stamp(v.tid, v.value, nullptr); }
-
-  /// Private full copy (ClockEngine::kVector — the retained baseline).
-  static Stamp full_copy(const StampView& v);
 
   /// Shared interned full clock (epoch-engine promotion on concurrency).
   static Stamp interned(const StampView& v, ClockArena& arena) {
@@ -119,10 +114,5 @@ class Stamp {
   std::uint64_t value_ = 0;
   ClockRef clock_;  ///< null => epoch-only.
 };
-
-/// Two-sided full-clock concurrency between a retained full stamp and the
-/// incoming view — the exact arithmetic of VectorClock::concurrent, kept as
-/// the kVector baseline predicate.
-bool stamp_concurrent_full(const Stamp& retained, const StampView& incoming);
 
 }  // namespace home::detect

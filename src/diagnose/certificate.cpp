@@ -25,16 +25,6 @@ namespace {
 
 constexpr std::size_t npos = detect::HbIndex::npos;
 
-/// Position of event `idx` within its thread's seq-ordered event list.
-std::size_t tid_position(const SyncGraph& graph, trace::Tid tid,
-                         std::size_t idx) {
-  const SyncGraph::TidEvents mine = graph.events_of(tid);
-  if (mine.data == nullptr) return 0;
-  const auto it = std::lower_bound(mine.data, mine.data + mine.size,
-                                   static_cast<std::uint32_t>(idx));
-  return static_cast<std::size_t>(it - mine.data);
-}
-
 Endpoint make_endpoint(const detect::HbIndex& hb, const SyncGraph& graph,
                        std::size_t idx, const trace::StringTable* strings) {
   const trace::Event& e = hb.events()[idx];
@@ -49,27 +39,26 @@ Endpoint make_endpoint(const detect::HbIndex& hb, const SyncGraph& graph,
     }
   }
   ep.locks = e.locks_held;
-  ep.barrier_phase = graph.barriers_before(e.tid, tid_position(graph, e.tid, idx));
+  ep.barrier_phase = graph.barriers_before(e.tid, hb.thread_position(idx));
   ep.stamp_own = hb.stamp_get(idx, e.tid);
   return ep;
 }
 
-std::vector<ContextEvent> context_window(const std::vector<trace::Event>& events,
-                                         const SyncGraph& graph,
+std::vector<ContextEvent> context_window(const detect::HbIndex& hb,
                                          std::size_t idx, std::size_t window) {
-  const trace::Tid tid = events[idx].tid;
-  const SyncGraph::TidEvents mine = graph.events_of(tid);
+  const std::vector<trace::Event>& events = hb.events();
+  const std::vector<std::uint32_t>& mine = hb.events_of(events[idx].tid);
   std::vector<ContextEvent> out;
-  if (mine.data == nullptr) return out;
-  const std::size_t my_pos = tid_position(graph, tid, idx);
+  if (mine.empty()) return out;
+  const std::size_t my_pos = hb.thread_position(idx);
   const std::size_t lo = my_pos > window ? my_pos - window : 0;
-  const std::size_t hi = std::min(mine.size, my_pos + window + 1);
+  const std::size_t hi = std::min(mine.size(), my_pos + window + 1);
   out.reserve(hi - lo);
   for (std::size_t p = lo; p < hi; ++p) {
     ContextEvent c;
-    c.seq = events[mine.data[p]].seq;
-    c.is_endpoint = mine.data[p] == idx;
-    c.text = trace::event_to_string(events[mine.data[p]]);
+    c.seq = events[mine[p]].seq;
+    c.is_endpoint = mine[p] == idx;
+    c.text = trace::event_to_string(events[mine[p]]);
     out.push_back(std::move(c));
   }
   return out;
@@ -85,16 +74,7 @@ NonOrderWitness make_witness(const detect::HbIndex& hb, const SyncGraph& graph,
   w.src_own = hb.stamp_get(src, stid);
   w.dst_view = hb.stamp_get(dst, stid);
   if (w.dst_view == 0) return w;  // dst knows nothing of src's thread.
-  // Dense own components: the frontier (the src-thread event whose own stamp
-  // equals dst_view) is exactly src-thread event number dst_view, an O(1)
-  // lookup in the graph's per-thread index.
-  const SyncGraph::TidEvents src_events = graph.events_of(stid);
-  std::size_t frontier = npos;
-  if (src_events.data != nullptr && w.dst_view <= src_events.size) {
-    frontier = src_events.data[w.dst_view - 1];
-  } else {
-    frontier = hb.knowledge_frontier(dst, stid);  // defensive fallback.
-  }
+  const std::size_t frontier = hb.knowledge_frontier(dst, stid);
   if (frontier == npos) return w;  // defensive; dense own components forbid it.
   w.frontier = events[frontier].seq;
   w.chain = graph.shortest_chain(frontier, dst);
@@ -188,23 +168,23 @@ Certificate build_certificate_impl(const detect::HbIndex& hb,
   const std::size_t i2 = v.call2 != 0 ? hb.index_of_seq(v.call2) : npos;
   if (i1 == npos && i2 == npos) return cert;
 
-  // Endpoints, context windows and witnesses all read the graph's per-thread
-  // indexes, so the single-certificate path builds one O(events) graph here
-  // (same asymptotics as one trace scan) and the batch path shares one.
+  // Endpoint barrier phases and witness chains read the sync graph, so the
+  // single-certificate path builds one here (it visits only the trace's
+  // sync events) and the batch path shares one.
   const SyncGraph* graph = shared;
   std::unique_ptr<SyncGraph> own;
   if (graph == nullptr) {
-    own = std::make_unique<SyncGraph>(events, hb_cfg);
+    own = std::make_unique<SyncGraph>(hb, hb_cfg);
     graph = own.get();
   }
 
   if (i1 != npos) {
     cert.e1 = make_endpoint(hb, *graph, i1, strings);
-    cert.context1 = context_window(events, *graph, i1, opts.context_window);
+    cert.context1 = context_window(hb, i1, opts.context_window);
   }
   if (i2 != npos) {
     cert.e2 = make_endpoint(hb, *graph, i2, strings);
-    cert.context2 = context_window(events, *graph, i2, opts.context_window);
+    cert.context2 = context_window(hb, i2, opts.context_window);
   }
   if (i1 == npos || i2 == npos) return cert;
 

@@ -150,8 +150,8 @@ Certificate build_certificate(const detect::HbIndex& hb,
                               const CertificateOptions& opts = {});
 
 /// As above with a pre-built sync graph over the same trace, so a batch of
-/// certificates (diagnose_violations) shares one O(events) graph build
-/// instead of paying it per violation.
+/// certificates (diagnose_violations) shares one graph build instead of
+/// paying it per violation.
 Certificate build_certificate(const detect::HbIndex& hb,
                               const spec::Violation& v,
                               const trace::StringTable* strings,

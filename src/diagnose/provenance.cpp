@@ -106,8 +106,8 @@ ProvenanceReport diagnose_violations(
       obs::Registry::global().counter("diagnose.verify_failures");
 
   // One sync graph serves every certificate of the batch (the graph is a
-  // pure function of the trace + HB config, and building it is O(events)).
-  const SyncGraph graph(hb.events(), hb_cfg);
+  // pure function of the trace + HB config).
+  const SyncGraph graph(hb, hb_cfg);
 
   report.certificates.reserve(violations.size());
   for (const spec::Violation& v : violations) {

@@ -1,164 +1,139 @@
 #include "src/diagnose/witness.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 namespace home::diagnose {
 
 namespace {
 
-/// Kinds the build loop must inspect beyond the per-thread bookkeeping.  The
-/// dominant kinds (memory accesses, MPI calls, region markers) take none of
-/// the switch below; one mask test keeps them on the fast path.
-constexpr std::uint32_t kind_bit(trace::EventKind k) {
-  return std::uint32_t{1} << static_cast<unsigned>(k);
+constexpr std::uint32_t kNone32 = static_cast<std::uint32_t>(-1);
+
+/// First event of `list` (a seq-ordered per-thread index list) after `idx`,
+/// or -1.
+std::uint32_t first_after(const std::vector<std::uint32_t>& list,
+                          std::uint32_t idx) {
+  const auto it = std::upper_bound(list.begin(), list.end(), idx);
+  return it == list.end() ? kNone32 : *it;
 }
-constexpr std::uint32_t kSyncKinds =
-    kind_bit(trace::EventKind::kMsgSend) |
-    kind_bit(trace::EventKind::kMsgRecv) |
-    kind_bit(trace::EventKind::kThreadFork) |
-    kind_bit(trace::EventKind::kThreadJoin) |
-    kind_bit(trace::EventKind::kBarrier) |
-    kind_bit(trace::EventKind::kLockAcquire) |
-    kind_bit(trace::EventKind::kLockRelease);
+
+/// Last event of `list` before `idx`, or -1.
+std::uint32_t last_before(const std::vector<std::uint32_t>& list,
+                          std::uint32_t idx) {
+  const auto it = std::lower_bound(list.begin(), list.end(), idx);
+  return it == list.begin() ? kNone32 : *(it - 1);
+}
 
 }  // namespace
 
-SyncGraph::SyncGraph(const std::vector<trace::Event>& events,
+SyncGraph::SyncGraph(const detect::HbIndex& hb,
                      const detect::HappensBeforeConfig& cfg)
-    : events_(&events) {
-  const std::size_t n = events.size();
-  constexpr std::uint32_t kNone32 = static_cast<std::uint32_t>(-1);
+    : hb_(&hb) {
+  const std::size_t n = hb.events().size();
 
-  // Tids are small dense integers, so the per-thread walk state lives in
-  // tid-indexed vectors — the hot loop below runs once per event and a hash
-  // lookup per event would dominate the whole build.
-  std::vector<std::uint32_t> counts;   // events seen so far, per tid.
-  std::vector<std::uint32_t> last_of;  // latest event index, per tid.
-  std::vector<std::uint32_t> pending_fork;
-  std::unordered_map<trace::ObjId, std::vector<std::size_t>> sends;
-  std::unordered_map<trace::ObjId, std::vector<std::size_t>> releases;
-  // Barrier arrivals are collected flat and grouped after the walk (the
-  // fan-out needs every participant's next-event index, unknown until the
-  // whole trace has been walked) — a per-object accumulator map would pay a
-  // hash op plus vector churn on every arrival.
+  // Edges are emitted in the order a single forward walk over the trace
+  // would meet their targets (a fork edge first, then the event's own
+  // incoming message/join/lock edges), then the barrier fan-out, so the
+  // shortest-chain tie-breaking is that of a full-trace walk.  Only the
+  // sync events are visited; fork edges resolve to the child's next event
+  // and are merged in by target afterwards.
+  std::vector<Edge> walk;
+  std::vector<Edge> forks;
+  std::unordered_map<trace::ObjId, std::vector<std::uint32_t>> sends;
+  std::unordered_map<trace::ObjId, std::vector<std::uint32_t>> releases;
   struct Arrival {
     trace::ObjId obj;
     std::uint32_t idx;
     std::uint32_t size;  // e.aux: participant count closing the instance.
+    trace::Tid tid;
+    std::uint32_t pos;   // in-thread position of the arrival.
   };
   std::vector<Arrival> barrier_arrivals;
-  po_next_.assign(n, kNone32);
-  // Compact per-event tid copy: the CSR fill below re-walks the trace by
-  // tid, and rereading the (large) Event structs a second time would double
-  // the build's memory traffic.
-  std::vector<std::uint32_t> tid_of(n);
 
-  auto add = [&](std::size_t from, std::size_t to, EdgeKind kind) {
-    edges_.push_back(Edge{static_cast<std::uint32_t>(from),
-                          static_cast<std::uint32_t>(to), kind});
-  };
-  auto grow_tid = [&](std::size_t tid) {
-    if (tid >= counts.size()) {
-      counts.resize(tid + 1, 0);
-      last_of.resize(tid + 1, kNone32);
-      pending_fork.resize(tid + 1, kNone32);
-      tid_barriers_.resize(tid + 1);
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const trace::Event& e = events[i];
-    grow_tid(e.tid);
-    tid_of[i] = e.tid;
-
-    // Program-order edges stay implicit in po_next_ — they are ~60% of all
-    // edges and materializing them would dominate both the build and the
-    // adjacency sort.
-    if (last_of[e.tid] != kNone32) {
-      po_next_[last_of[e.tid]] = static_cast<std::uint32_t>(i);
-    }
-    last_of[e.tid] = static_cast<std::uint32_t>(i);
-
-    // A fork targeting this thread resolves to its next event — which is
-    // this one (the parent clock was joined into the child at fork time, so
-    // every later child event is HB-after the fork).
-    if (pending_fork[e.tid] != kNone32) {
-      add(pending_fork[e.tid], i, EdgeKind::kFork);
-      pending_fork[e.tid] = kNone32;
-    }
-
-    if ((kind_bit(e.kind) & kSyncKinds) != 0) {
-      switch (e.kind) {
-        case trace::EventKind::kMsgSend:
-          if (cfg.message_edges) sends[e.obj].push_back(i);
-          break;
-        case trace::EventKind::kMsgRecv:
-          if (cfg.message_edges) {
-            // The message clock accumulates every send to this object, so
-            // all prior sends are edge sources.
-            for (std::size_t s : sends[e.obj]) add(s, i, EdgeKind::kMessage);
+  for (const detect::HbIndex::SyncEvent& e : hb.sync_events()) {
+    const std::uint32_t i = e.idx;
+    switch (e.kind) {
+      case trace::EventKind::kMsgSend:
+        if (cfg.message_edges) sends[e.obj].push_back(i);
+        break;
+      case trace::EventKind::kMsgRecv:
+        if (cfg.message_edges) {
+          // The message clock accumulates every send to this object, so
+          // all prior sends are edge sources.
+          for (std::uint32_t src : sends[e.obj]) {
+            walk.push_back(Edge{src, i, EdgeKind::kMessage});
           }
-          break;
-        case trace::EventKind::kThreadFork: {
-          const auto child = static_cast<trace::Tid>(e.obj);
-          grow_tid(child);
-          pending_fork[child] = static_cast<std::uint32_t>(i);
-          break;
         }
-        case trace::EventKind::kThreadJoin: {
-          const auto child = static_cast<trace::Tid>(e.obj);
-          if (static_cast<std::size_t>(child) < last_of.size() &&
-              last_of[child] != kNone32 && last_of[child] != i) {
-            add(last_of[child], i, EdgeKind::kJoin);
-          }
-          break;
-        }
-        case trace::EventKind::kBarrier:
-          // In-thread position of the barrier event itself (counts is
-          // bumped below).
-          tid_barriers_[e.tid].push_back(counts[e.tid]);
-          barrier_arrivals.push_back(Arrival{
-              e.obj, static_cast<std::uint32_t>(i),
-              static_cast<std::uint32_t>(e.aux)});
-          break;
-        case trace::EventKind::kLockRelease:
-          if (cfg.lock_edges) releases[e.obj].push_back(i);
-          break;
-        case trace::EventKind::kLockAcquire:
-          if (cfg.lock_edges) {
-            for (std::size_t r : releases[e.obj]) add(r, i, EdgeKind::kLock);
-          }
-          break;
-        default:
-          break;
+        break;
+      case trace::EventKind::kThreadFork: {
+        // The parent clock was joined into the child at fork time, so the
+        // child's next event (and everything after it) is HB-after the
+        // fork.  A later fork of the same child before that event replaces
+        // this one.
+        const auto child = static_cast<trace::Tid>(e.obj);
+        const std::uint32_t target = first_after(hb.events_of(child), i);
+        if (target != kNone32) forks.push_back(Edge{i, target, EdgeKind::kFork});
+        break;
       }
+      case trace::EventKind::kThreadJoin: {
+        // The join absorbs the child's clock as of its last event; a
+        // self-join adds nothing beyond program order.
+        const auto child = static_cast<trace::Tid>(e.obj);
+        if (child == e.tid) break;
+        const std::uint32_t last = last_before(hb.events_of(child), i);
+        if (last != kNone32) walk.push_back(Edge{last, i, EdgeKind::kJoin});
+        break;
+      }
+      case trace::EventKind::kBarrier: {
+        const auto t = static_cast<std::size_t>(e.tid);
+        if (t >= tid_barriers_.size()) tid_barriers_.resize(t + 1);
+        tid_barriers_[t].push_back(e.pos);
+        barrier_arrivals.push_back(Arrival{
+            e.obj, i, static_cast<std::uint32_t>(e.aux), e.tid, e.pos});
+        break;
+      }
+      case trace::EventKind::kLockRelease:
+        if (cfg.lock_edges) releases[e.obj].push_back(i);
+        break;
+      case trace::EventKind::kLockAcquire:
+        if (cfg.lock_edges) {
+          for (std::uint32_t r : releases[e.obj]) {
+            walk.push_back(Edge{r, i, EdgeKind::kLock});
+          }
+        }
+        break;
+      default:
+        break;
     }
-    ++counts[e.tid];
   }
 
-  // Per-thread position index (certificate endpoints read it instead of
-  // rescanning the trace), as a flat CSR: exclusive-prefix-sum the counts,
-  // then scatter event indices by tid.  Both fill passes touch only the
-  // compact tid_of array, and the CSR avoids a push_back (header load, size
-  // check, store-back) per event on the hot walk above.
-  tid_starts_.assign(counts.size() + 1, 0);
-  for (std::size_t t = 0; t < counts.size(); ++t) {
-    tid_starts_[t + 1] = tid_starts_[t] + counts[t];
+  // Forks sharing a target are forks of one child before its next event:
+  // only the last one is an edge.  The survivors are merged into the walk
+  // order by target, a fork edge ahead of the target's own incoming edges.
+  std::sort(forks.begin(), forks.end(), [](const Edge& a, const Edge& b) {
+    return a.to != b.to ? a.to < b.to : a.from < b.from;
+  });
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < forks.size(); ++k) {
+    if (k + 1 < forks.size() && forks[k + 1].to == forks[k].to) continue;
+    forks[kept++] = forks[k];
   }
-  tid_flat_.resize(n);
-  std::vector<std::uint32_t> cursor(tid_starts_.begin(),
-                                    tid_starts_.begin() + counts.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    tid_flat_[cursor[tid_of[i]]++] = static_cast<std::uint32_t>(i);
-  }
+  forks.resize(kept);
+  edges_.reserve(walk.size() + forks.size());
+  std::merge(forks.begin(), forks.end(), walk.begin(), walk.end(),
+             std::back_inserter(edges_),
+             [](const Edge& a, const Edge& b) { return a.to < b.to; });
 
   // Completed-barrier fan-out: arrival a -> next event of every *other*
-  // participant after its own arrival (the participant's own successor is
-  // already covered by program order).  Grouping: sort arrivals by (object,
-  // trace position), then each run of `size` arrivals of one object is a
-  // completed instance — matching the accumulate-then-reset semantics of
-  // IncrementalHb, where an object id is reused per instance.
+  // participant after the instance completes (the participant's own
+  // successor is already covered by program order).  A participant blocks
+  // in the barrier, so that is its next event after its own arrival; a
+  // trace where it ran ahead gets no backward edge.  Grouping: sort
+  // arrivals by (object, trace position), then each run of `size` arrivals
+  // of one object is a completed instance — matching the
+  // accumulate-then-reset semantics of IncrementalHb, where an object id is
+  // reused per instance.
   // Arrivals are usually already grouped (one global barrier object, or
   // phase-ordered objects) — skip the sort when a linear check confirms it.
   const auto arrival_before = [](const Arrival& a, const Arrival& b) {
@@ -169,6 +144,7 @@ SyncGraph::SyncGraph(const std::vector<trace::Event>& events,
     std::sort(barrier_arrivals.begin(), barrier_arrivals.end(),
               arrival_before);
   }
+  std::vector<std::uint32_t> succ;  // per participant of one instance.
   for (std::size_t lo = 0; lo < barrier_arrivals.size();) {
     const trace::ObjId obj = barrier_arrivals[lo].obj;
     const std::uint32_t size = barrier_arrivals[lo].size;
@@ -178,13 +154,23 @@ SyncGraph::SyncGraph(const std::vector<trace::Event>& events,
       ++hi;
     }
     if (size > 0 && hi - lo == size) {  // completed instance.
+      const std::uint32_t completed = barrier_arrivals[hi - 1].idx;
+      succ.clear();
+      for (std::size_t b = lo; b < hi; ++b) {
+        const std::vector<std::uint32_t>& theirs =
+            hb.events_of(barrier_arrivals[b].tid);
+        const std::size_t p = barrier_arrivals[b].pos + 1;
+        std::uint32_t next = p < theirs.size() ? theirs[p] : kNone32;
+        if (next != kNone32 && next < completed) {
+          next = first_after(theirs, completed);
+        }
+        succ.push_back(next);
+      }
       for (std::size_t a = lo; a < hi; ++a) {
         for (std::size_t b = lo; b < hi; ++b) {
-          if (a == b) continue;
-          const std::uint32_t succ = po_next_[barrier_arrivals[b].idx];
-          if (succ != kNone32) {
-            add(barrier_arrivals[a].idx, succ, EdgeKind::kBarrier);
-          }
+          if (a == b || succ[b - lo] == kNone32) continue;
+          edges_.push_back(
+              Edge{barrier_arrivals[a].idx, succ[b - lo], EdgeKind::kBarrier});
         }
       }
     }
@@ -211,10 +197,17 @@ SyncGraph::SyncGraph(const std::vector<trace::Event>& events,
   }
 }
 
+std::uint32_t SyncGraph::po_next(std::size_t i) const {
+  const std::vector<std::uint32_t>& mine =
+      hb_->events_of(hb_->events()[i].tid);
+  const std::size_t next = hb_->thread_position(i) + 1;
+  return next < mine.size() ? mine[next] : kNone32;
+}
+
 std::vector<ChainLink> SyncGraph::shortest_chain(std::size_t from,
                                                  std::size_t to) const {
   std::vector<ChainLink> chain;
-  const std::size_t n = po_next_.size();
+  const std::size_t n = hb_->events().size();
   if (from >= n || to >= n || from >= to) return chain;
 
   // Every edge satisfies from < to (program order is seq order; message,
@@ -230,12 +223,11 @@ std::vector<ChainLink> SyncGraph::shortest_chain(std::size_t from,
   parent[0] = 0;  // self-mark as visited.
   queue.push_back(static_cast<std::uint32_t>(from));
 
-  constexpr std::uint32_t kNone32 = static_cast<std::uint32_t>(-1);
   bool found = false;
   for (std::size_t head = 0; head < queue.size() && !found; ++head) {
     const std::uint32_t cur = queue[head];
-    // The program-order successor is implicit (po_next_); CSR holds only the
-    // cross-thread sync edges.
+    // The program-order successor is implicit (po_next); the edge array
+    // holds only the cross-thread sync edges.
     auto relax = [&](std::uint32_t dst, EdgeKind kind) {
       if (dst > to) return;  // outside the window: cannot reach `to`.
       const std::size_t rel = dst - from;
@@ -248,7 +240,8 @@ std::vector<ChainLink> SyncGraph::shortest_chain(std::size_t from,
       }
       queue.push_back(dst);
     };
-    if (po_next_[cur] != kNone32) relax(po_next_[cur], EdgeKind::kProgramOrder);
+    const std::uint32_t next = po_next(cur);
+    if (next != kNone32) relax(next, EdgeKind::kProgramOrder);
     if ((edge_bits_[cur >> 6] >> (cur & 63)) & 1) {
       auto it = std::lower_bound(edges_.begin(), edges_.end(), cur,
                                  [](const Edge& e, std::uint32_t v) {
@@ -264,21 +257,13 @@ std::vector<ChainLink> SyncGraph::shortest_chain(std::size_t from,
 
   for (std::size_t cur = to; cur != from; cur = parent[cur - from]) {
     ChainLink link;
-    link.from = (*events_)[parent[cur - from]].seq;
-    link.to = (*events_)[cur].seq;
+    link.from = hb_->events()[parent[cur - from]].seq;
+    link.to = hb_->events()[cur].seq;
     link.edge = via[cur - from];
     chain.push_back(link);
   }
   std::reverse(chain.begin(), chain.end());
   return chain;
-}
-
-SyncGraph::TidEvents SyncGraph::events_of(trace::Tid tid) const {
-  const std::size_t t = static_cast<std::size_t>(tid);
-  if (t + 1 >= tid_starts_.size()) return {};
-  const std::size_t size = tid_starts_[t + 1] - tid_starts_[t];
-  if (size == 0) return {};
-  return TidEvents{tid_flat_.data() + tid_starts_[t], size};
 }
 
 std::uint64_t SyncGraph::barriers_before(trace::Tid tid,

@@ -13,7 +13,8 @@
 //   * the child's last event -> kThreadJoin (the join absorbs the child
 //     clock before its own bump),
 //   * barrier completion fan-out: every arrival -> each participant's next
-//     event *after its own arrival*.  The target must be the successor, not
+//     event *after the instance completes* (for a blocking barrier, the
+//     successor of its own arrival).  The target must be a successor, not
 //     the arrival: arrival stamps are taken before the completion join, so
 //     the arrival events themselves are NOT ordered across threads,
 //   * lock release -> later acquires of the same lock, only when the HB
@@ -31,9 +32,11 @@ namespace home::diagnose {
 
 class SyncGraph {
  public:
-  /// `events` must be seq-sorted and outlive the graph.
-  SyncGraph(const std::vector<trace::Event>& events,
-            const detect::HappensBeforeConfig& cfg);
+  /// Built from the finished HB index: its per-thread event lists give the
+  /// program-order edges and its sync-event list the rest, so the build
+  /// touches only the (few) sync events instead of rescanning the trace.
+  /// `hb` must outlive the graph.
+  SyncGraph(const detect::HbIndex& hb, const detect::HappensBeforeConfig& cfg);
 
   /// Shortest path (fewest hops) from events[from] to events[to] over the
   /// primitive sync edges; empty when unreachable or from == to.  Every sync
@@ -44,21 +47,8 @@ class SyncGraph {
 
   std::size_t edge_count() const { return edges_.size(); }
 
-  /// Seq-ordered event indices of one thread (data == nullptr for a thread
-  /// with no events).
-  struct TidEvents {
-    const std::uint32_t* data = nullptr;
-    std::size_t size = 0;
-  };
-
-  /// Event indices of thread `tid`, seq-ordered.  Because IncrementalHb's
-  /// own components are dense, the k-th entry is exactly the event whose own
-  /// stamp component is k+1 — so a knowledge frontier with view V is
-  /// events_of(tid).data[V-1], O(1) instead of an O(trace) stamp scan.
-  TidEvents events_of(trace::Tid tid) const;
-
   /// Barriers thread `tid` passed before its pos-th event (pos indexes
-  /// events_of(tid)) — the endpoint's barrier phase without a trace scan.
+  /// hb.events_of(tid)) — the endpoint's barrier phase without a trace scan.
   std::uint64_t barriers_before(trace::Tid tid, std::size_t pos) const;
 
  private:
@@ -68,7 +58,11 @@ class SyncGraph {
     EdgeKind kind = EdgeKind::kProgramOrder;
   };
 
-  const std::vector<trace::Event>* events_;
+  /// Event i's same-thread successor, or -1 (the implicit program-order
+  /// edge, read off the HB index's per-thread lists).
+  std::uint32_t po_next(std::size_t i) const;
+
+  const detect::HbIndex* hb_;
   // Sync edges sorted by source + a per-event "has out-edges" bitmask.  Sync
   // edges are sparse (most events only have the implicit program-order
   // link), so a dense per-event offset table would cost several O(events)
@@ -76,19 +70,8 @@ class SyncGraph {
   // node and binary-searches the edge array only on a hit.
   std::vector<Edge> edges_;
   std::vector<std::uint64_t> edge_bits_;
-  // Implicit program-order edges: po_next_[i] is event i's same-thread
-  // successor (or -1).  PO edges are the majority of the graph; keeping them
-  // out of the CSR halves the build and sort cost.
-  std::vector<std::uint32_t> po_next_;
-  // Per-thread event positions as a flat CSR (tid t's slice is
-  // tid_flat_[tid_starts_[t] .. tid_starts_[t+1])), filled by counting sort
-  // from a compact per-event tid copy — the Event structs are large, so the
-  // build walks the event array exactly ONCE and every later pass touches
-  // only small dense arrays.  Barrier phases are recovered by binary search
-  // over each thread's (rare) barrier positions rather than storing a
-  // cumulative count per event.
-  std::vector<std::uint32_t> tid_flat_;
-  std::vector<std::uint32_t> tid_starts_;
+  // Per-thread in-thread positions of barrier arrivals; barrier phases are
+  // recovered by binary search rather than stored per event.
   std::vector<std::vector<std::uint32_t>> tid_barriers_;
 };
 

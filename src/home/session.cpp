@@ -18,9 +18,6 @@ detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg) {
   detect::RaceDetectorConfig dcfg;
   dcfg.mode = cfg.detector;
   dcfg.max_pairs_per_var = cfg.max_pairs_per_var;
-  dcfg.algo = cfg.detector_algo;
-  dcfg.analysis_threads = cfg.analysis_threads;
-  dcfg.clock = cfg.clock_engine;
   return dcfg;
 }
 

@@ -84,14 +84,6 @@ struct SessionConfig {
   /// Model cross-rank send->recv pairs as happens-before edges.
   bool message_edges = true;
   std::size_t max_pairs_per_var = 64;
-  /// Per-variable sweep algorithm (frontier is the near-linear default;
-  /// pairwise kept for cross-checking and the ablation benches).
-  detect::DetectorAlgo detector_algo = detect::DetectorAlgo::kFrontier;
-  /// Worker threads for the per-variable analysis; 0 = auto
-  /// (hardware_concurrency), 1 = serial.
-  std::size_t analysis_threads = 0;
-  /// Stamp representation (epoch default; vector kept for cross-checks).
-  detect::ClockEngine clock_engine = detect::ClockEngine::kEpoch;
   /// Post-mortem (default) or streaming detection during the run.
   AnalysisMode mode = AnalysisMode::kPostMortem;
   OnlineOptions online;

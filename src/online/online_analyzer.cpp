@@ -33,7 +33,6 @@ struct AnalyzerMetrics {
       obs::Registry::global().counter("clock.epoch_hits");
   obs::Counter& promotions =
       obs::Registry::global().counter("clock.epoch_promotions");
-  obs::Counter& allocs = obs::Registry::global().counter("clock.allocs");
   obs::Gauge& clock_bytes =
       obs::Registry::global().gauge("clock.resident_bytes");
 };
@@ -63,10 +62,8 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
       stream_(cfg_.stream),
       hb_(hb_config_for(cfg_.detector)),
       frontier_(cfg_.detector),
-      matcher_(
-          strings,
-          [this](spec::Violation&& v) { stream_.offer(std::move(v)); },
-          cfg_.detector.clock) {
+      matcher_(strings,
+               [this](spec::Violation&& v) { stream_.offer(std::move(v)); }) {
   worker_ = std::thread([this] { run(); });
 }
 
@@ -147,8 +144,7 @@ void OnlineAnalyzer::process(const trace::Event& e) {
       if (it != calls_pending_.end()) rec->call = it->second;
     }
     hits_.clear();
-    // The frontier fills rec->stamp per the configured clock engine (epoch
-    // with promotion-on-concurrency, or the baseline full copy).
+    // The frontier fills rec->stamp (an epoch, promoted on concurrency).
     frontier_.on_access(e.obj, std::move(rec), stamp, &hits_);
     if (!hits_.empty() && spec::is_monitored_var(e.obj)) {
       for (const auto& hit : hits_) {
@@ -214,14 +210,11 @@ void OnlineAnalyzer::checkpoint() {
 void OnlineAnalyzer::fold_clock_counters() {
   const std::size_t hits = frontier_.epoch_hits();
   const std::size_t promos = frontier_.epoch_promotions();
-  const std::size_t allocs = frontier_.clock_allocs() + matcher_.clock_allocs();
   AnalyzerMetrics& m = analyzer_metrics();
   if (hits > folded_epoch_hits_) m.epoch_hits.add(hits - folded_epoch_hits_);
   if (promos > folded_promotions_) m.promotions.add(promos - folded_promotions_);
-  if (allocs > folded_allocs_) m.allocs.add(allocs - folded_allocs_);
   folded_epoch_hits_ = hits;
   folded_promotions_ = promos;
-  folded_allocs_ = allocs;
 }
 
 void OnlineAnalyzer::finish() {

@@ -49,8 +49,8 @@
 namespace home::online {
 
 struct OnlineConfig {
-  /// Detection knobs (mode, pair budget, frontier history) — give the online
-  /// engine the same RaceDetectorConfig the post-mortem detector would use.
+  /// Detection knobs (mode, pair budget) — give the online engine the same
+  /// RaceDetectorConfig the post-mortem detector would use.
   detect::RaceDetectorConfig detector;
   std::size_t queue_capacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -92,8 +92,8 @@ struct OnlineStats {
   /// clock bytes at all.
   std::size_t peak_clock_bytes = 0;
   std::size_t final_clock_bytes = 0;
-  /// Clock-engine tallies (kEpoch): O(1)-path comparisons and records
-  /// promoted to full clocks on true concurrency.
+  /// Clock-engine tallies: O(1)-path comparisons and records promoted to
+  /// full clocks on true concurrency.
   std::size_t epoch_hits = 0;
   std::size_t epoch_promotions = 0;
   std::size_t monitored_variables = 0;
@@ -144,7 +144,7 @@ class OnlineAnalyzer : public trace::EventSink {
   void run();
   void process(const trace::Event& e);
   void checkpoint();  ///< resident sampling + periodic retirement.
-  void fold_clock_counters();  ///< batch frontier/matcher tallies into obs.
+  void fold_clock_counters();  ///< batch frontier tallies into obs.
 
   OnlineConfig cfg_;
   const trace::ThreadRegistry* registry_;
@@ -164,11 +164,10 @@ class OnlineAnalyzer : public trace::EventSink {
   std::vector<detect::IncrementalFrontier::PairHit> hits_;  ///< scratch.
   std::size_t events_since_checkpoint_ = 0;
   /// Clock-engine tallies already folded into obs::Registry (deltas are
-  /// added at each checkpoint; the engines keep plain local counters so the
-  /// hot loops never touch an atomic).
+  /// added at each checkpoint; the frontier keeps plain local counters so
+  /// the hot loop never touches an atomic).
   std::size_t folded_epoch_hits_ = 0;
   std::size_t folded_promotions_ = 0;
-  std::size_t folded_allocs_ = 0;
 
   mutable std::mutex stats_mu_;
   OnlineStats stats_;

@@ -3,8 +3,15 @@
 // matrix at small scale.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/apps/app.hpp"
 #include "src/apps/toolrun.hpp"
+#include "src/home/session.hpp"
+#include "src/homp/runtime.hpp"
+#include "src/simmpi/universe.hpp"
 #include "src/spec/violations.hpp"
 
 namespace home::apps {
@@ -178,6 +185,69 @@ TEST(Injection, EightRankScaleStillDetectsEverything) {
   auto result = run_with_tool(Tool::kHome, cfg);
   EXPECT_EQ(count_accuracy(result.report).detected_classes, 6)
       << result.report.to_string();
+}
+
+TEST(Injection, ConcurrentRequestSlotsNeverAliasAcrossRanks) {
+  // V4 shares one receive request per rank between the team's waits.  At 66
+  // ranks, receiver ranks r and r+64 coexist, so a table indexed by
+  // rank % 64 would hand one rank's team the other rank's request.  Read
+  // back from the trace: every inject.v4.wait on rank r completes a request
+  // that rank r posted.
+  AppConfig cfg = clean_config(AppKind::kLU, 66);
+  cfg.inject.v4_concurrent_request = true;
+  cfg.iterations = 1;
+
+  Session session;
+  simmpi::UniverseConfig ucfg;
+  ucfg.nranks = cfg.nranks;
+  ucfg.block_timeout_ms = cfg.block_timeout_ms;
+  session.configure(ucfg);
+  simmpi::Universe universe(ucfg);
+  session.attach(universe);
+  homp::set_default_threads(cfg.nthreads);
+  const simmpi::RunResult run =
+      universe.run([&cfg](simmpi::Process& p) { run_app_rank(cfg, p); });
+  session.detach(universe);
+  ASSERT_TRUE(run.ok());
+
+  // A wait that completes a receive request logs the completing message
+  // (kMsgRecv) right after its call event on the same thread; the message's
+  // destination — the peer of the inject.v4.send that logged the matching
+  // kMsgSend — is the rank whose mailbox held the request, i.e. the rank
+  // that posted it.
+  const trace::StringTable& labels = session.log().strings();
+  std::map<trace::Tid, trace::Event> open_call;  // last v4 call per thread.
+  std::map<trace::ObjId, int> destination;       // message id -> dest rank.
+  std::vector<std::pair<int, trace::ObjId>> waits;  // (wait rank, message).
+  for (const trace::Event& e : session.log().sorted_events()) {
+    if (e.mpi) {
+      const std::string site = labels.lookup(e.mpi->callsite);
+      if (site == "inject.v4.send" || site == "inject.v4.wait") {
+        open_call[e.tid] = e;
+      } else {
+        open_call.erase(e.tid);
+      }
+      continue;
+    }
+    const auto call = open_call.find(e.tid);
+    if (call == open_call.end()) continue;
+    if (e.kind == trace::EventKind::kMsgSend) {
+      destination[e.obj] = call->second.mpi->peer;
+    } else if (e.kind == trace::EventKind::kMsgRecv) {
+      waits.emplace_back(call->second.rank, e.obj);
+    }
+  }
+  // Even ranks 0..64 receive, each with both team threads waiting.
+  EXPECT_EQ(destination.size(), 33u);
+  EXPECT_EQ(waits.size(), 66u);
+  for (const auto& [rank, msg] : waits) {
+    const auto it = destination.find(msg);
+    ASSERT_NE(it, destination.end()) << "rank " << rank << " completed "
+                                     << "message " << msg << " nobody sent";
+    EXPECT_EQ(it->second, rank)
+        << "rank " << rank << " completed a request rank " << it->second
+        << " posted";
+  }
 }
 
 TEST(App, ManyIterationsStayViolationFree) {

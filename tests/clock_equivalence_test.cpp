@@ -1,10 +1,17 @@
-// Clock-engine equivalence (ISSUE-6 acceptance): the epoch engine and the
-// retained full-vector engine must be *verdict-equivalent* everywhere —
-//  * post-mortem: identical per-variable verdicts AND identical reported
-//    pair lists across all DetectorModes, both sweep algorithms, capped and
-//    uncapped, on seeded random traces,
-//  * online: identical streamed pair sequences at every retirement cadence,
-//    and identical end-to-end violation-key sets through the OnlineAnalyzer,
+// Clock-engine equivalence: production's epoch stamps must agree with the
+// independent oracle (tests/oracle/: dense clocks replayed straight from the
+// raw events, never through IncrementalHb, plus the paper's O(k^2) check)
+// everywhere —
+//  * post-mortem: HbIndex::stamp_get equals the oracle's dense clock for
+//    every event and thread, the epoch test agrees with the dense test on
+//    every cross-thread pair of accesses to one variable, per-variable
+//    verdicts equal the oracle's, and every reported pair is in the
+//    oracle's racy set — across all DetectorModes, capped and uncapped, on
+//    seeded random traces and on one trace 1040 thread ids wide,
+//  * online: the streamed frontier's verdicts and pairs pass the same checks
+//    at every retirement cadence, its retained epochs answer leq_later like
+//    the dense clocks, and the OnlineAnalyzer's violation keys reconcile
+//    with the post-mortem pass on the paper's injected app,
 //  * the supporting structures behave: FlatMap matches std::map under a
 //    randomized op sequence, and ClockArena dedupes content-equal clocks
 //    (trailing-zero padding included) and compacts unreferenced entries.
@@ -24,9 +31,12 @@
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/detect/stamp.hpp"
-#include "src/home/check.hpp"
+#include "src/home/session.hpp"
+#include "src/homp/runtime.hpp"
+#include "src/simmpi/universe.hpp"
 #include "src/spec/violations.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracle/oracle.hpp"
 
 namespace home::detect {
 namespace {
@@ -120,22 +130,84 @@ int max_tid(const std::vector<Event>& events) {
   return m;
 }
 
-// ----------------------------------------------- post-mortem pair equality
-
 using SeqPair = std::pair<trace::Seq, trace::Seq>;
 
-std::map<trace::ObjId, std::vector<SeqPair>> report_pairs(
-    const ConcurrencyReport& report) {
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    auto& pairs = out[var];
-    for (const ConcurrentPair& p : verdict.pairs) {
-      pairs.emplace_back(report.hb().events()[p.first].seq,
-                         report.hb().events()[p.second].seq);
-    }
-  }
+// ------------------------------------------------ checks against the oracle
+
+/// Position of each event in `events`, by seq.
+std::map<trace::Seq, std::size_t> index_by_seq(const std::vector<Event>& events) {
+  std::map<trace::Seq, std::size_t> out;
+  for (std::size_t i = 0; i < events.size(); ++i) out[events[i].seq] = i;
   return out;
 }
+
+/// HbIndex::stamp_get equals the oracle's dense clock for every event and
+/// every thread id the trace mentions.
+void expect_stamps_match(const HbIndex& hb, const oracle::Oracle& reference,
+                         const std::string& where) {
+  const int width = max_tid(reference.events()) + 1;
+  for (std::size_t i = 0; i < reference.events().size(); ++i) {
+    for (int t = 0; t < width; ++t) {
+      const auto tid = static_cast<trace::Tid>(t);
+      if (hb.stamp_get(i, tid) != reference.clock(i).get(tid)) {
+        ADD_FAILURE() << where << ": stamp of event " << i << " differs at tid "
+                      << t << " (production " << hb.stamp_get(i, tid)
+                      << ", oracle " << reference.clock(i).get(tid) << ")";
+        return;
+      }
+    }
+  }
+}
+
+/// The O(1) epoch test the sweep answers with (stamp_j[tid_j] >
+/// stamp_i[tid_j] for seq-ordered j < i) agrees with the oracle's dense
+/// two-sided test on every cross-thread pair of accesses to one variable.
+void expect_epoch_test_matches(const HbIndex& hb,
+                               const oracle::Oracle& reference,
+                               const std::string& where) {
+  std::map<trace::ObjId, std::vector<std::size_t>> by_var;
+  for (std::size_t i = 0; i < reference.events().size(); ++i) {
+    if (reference.events()[i].is_access()) {
+      by_var[reference.events()[i].obj].push_back(i);
+    }
+  }
+  for (const auto& [var, idx] : by_var) {
+    for (std::size_t b = 1; b < idx.size(); ++b) {
+      for (std::size_t a = 0; a < b; ++a) {
+        const std::size_t j = idx[a];
+        const std::size_t i = idx[b];
+        const trace::Tid tj = reference.events()[j].tid;
+        if (tj == reference.events()[i].tid) continue;
+        const bool epoch = hb.stamp_get(j, tj) > hb.stamp_get(i, tj);
+        if (epoch != reference.concurrent(j, i)) {
+          ADD_FAILURE() << where << ": epoch test wrong for var " << var
+                        << " pair (" << j << ", " << i << ")";
+          return;
+        }
+      }
+    }
+  }
+}
+
+/// Production verdicts equal the oracle's, and every reported pair is in
+/// the oracle's racy set.
+void expect_report_matches(const ConcurrencyReport& report,
+                           const oracle::Oracle& reference,
+                           const std::map<trace::ObjId, bool>& expected,
+                           const std::string& where) {
+  std::map<trace::ObjId, bool> got;
+  for (const auto& [var, verdict] : report.verdicts()) {
+    got[var] = verdict.concurrent;
+    for (const ConcurrentPair& p : verdict.pairs) {
+      EXPECT_TRUE(oracle::accesses_racy(reference, p.first, p.second))
+          << where << ": reported pair (" << p.first << ", " << p.second
+          << ") of var " << var << " is not racy";
+    }
+  }
+  EXPECT_EQ(got, expected) << where;
+}
+
+// ----------------------------------------------- post-mortem vs the oracle
 
 class ClockEngineEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -145,32 +217,22 @@ TEST_P(ClockEngineEquivalence, PostMortemVerdictsAndPairsMatch) {
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
         DetectorMode::kHbOnly}) {
-    for (const DetectorAlgo algo :
-         {DetectorAlgo::kFrontier, DetectorAlgo::kPairwise}) {
-      for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
-        RaceDetectorConfig epoch;
-        epoch.mode = mode;
-        epoch.algo = algo;
-        epoch.max_pairs_per_var = cap;
-        epoch.analysis_threads = 1;
-        epoch.clock = ClockEngine::kEpoch;
-        RaceDetectorConfig vector = epoch;
-        vector.clock = ClockEngine::kVector;
-
-        const ConcurrencyReport er = RaceDetector(epoch).analyze(events);
-        const ConcurrencyReport vr = RaceDetector(vector).analyze(events);
-        // Identical pair lists implies identical verdicts, pair budgets, and
-        // representative choices — the engines must be indistinguishable to
-        // every downstream consumer.
-        EXPECT_EQ(report_pairs(er), report_pairs(vr))
-            << "mode=" << detector_mode_name(mode)
-            << " algo=" << detector_algo_name(algo) << " cap=" << cap
-            << " seed=" << seed;
-        for (const auto& [var, verdict] : er.verdicts()) {
-          const VariableVerdict* other = vr.verdict(var);
-          ASSERT_NE(other, nullptr);
-          EXPECT_EQ(verdict.concurrent, other->concurrent) << "var=" << var;
-        }
+    const oracle::Oracle reference(events, mode);
+    const auto expected = reference.verdicts();
+    for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
+      RaceDetectorConfig cfg;
+      cfg.mode = mode;
+      cfg.max_pairs_per_var = cap;
+      cfg.analysis_threads = 1;
+      const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+      const std::string where = std::string("mode=") +
+                                detector_mode_name(mode) +
+                                " cap=" + std::to_string(cap) +
+                                " seed=" + std::to_string(seed);
+      expect_report_matches(report, reference, expected, where);
+      if (cap == 0) {  // the HB index does not depend on the pair cap.
+        expect_stamps_match(report.hb(), reference, where);
+        expect_epoch_test_matches(report.hb(), reference, where);
       }
     }
   }
@@ -179,11 +241,21 @@ TEST_P(ClockEngineEquivalence, PostMortemVerdictsAndPairsMatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClockEngineEquivalence,
                          ::testing::Range(0, 60));
 
-// --------------------------------------------------- streamed pair equality
+// ------------------------------------------------- streamed vs the oracle
 
-std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
-    const std::vector<Event>& events, const RaceDetectorConfig& cfg,
-    std::size_t retire_every) {
+struct Streamed {
+  std::map<trace::ObjId, std::vector<SeqPair>> pairs;
+  std::map<trace::ObjId, bool> verdicts;
+};
+
+/// Streams `events` through IncrementalHb + IncrementalFrontier, retiring
+/// every `retire_every` events (0 = never).  With `reference` given, also
+/// checks each access's retained epoch stamp against the oracle: for every
+/// seq-earlier cross-thread access j of the same variable, !epoch_j
+/// .leq_later(view_i) must equal the dense concurrent(j, i).
+Streamed stream(const std::vector<Event>& events, const RaceDetectorConfig& cfg,
+                std::size_t retire_every,
+                const oracle::Oracle* reference = nullptr) {
   HappensBeforeConfig hb_cfg;
   hb_cfg.lock_edges = (cfg.mode == DetectorMode::kHbOnly);
   IncrementalHb hb(hb_cfg);
@@ -192,12 +264,24 @@ std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
   }
   IncrementalFrontier frontier(cfg);
 
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
+  Streamed out;
+  std::map<trace::ObjId, std::vector<std::size_t>> seen;  // for `reference`.
+  std::vector<Stamp> epochs(events.size());
   std::vector<IncrementalFrontier::PairHit> hits;
   std::size_t since_retire = 0;
-  for (const Event& e : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
     const StampView stamp = hb.advance(e);
     if (e.is_access()) {
+      if (reference != nullptr) {
+        epochs[i] = Stamp::epoch(stamp);
+        for (const std::size_t j : seen[e.obj]) {
+          if (events[j].tid == e.tid) continue;
+          EXPECT_EQ(!epochs[j].leq_later(stamp), reference->concurrent(j, i))
+              << "var=" << e.obj << " pair (" << j << ", " << i << ")";
+        }
+        seen[e.obj].push_back(i);
+      }
       auto rec = std::make_shared<OnlineAccess>();
       rec->seq = e.seq;
       rec->tid = e.tid;
@@ -205,7 +289,7 @@ std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
       rec->locks = e.locks_held;
       hits.clear();
       frontier.on_access(e.obj, std::move(rec), stamp, &hits);
-      auto& pairs = out[e.obj];
+      auto& pairs = out.pairs[e.obj];
       for (const auto& hit : hits) {
         pairs.emplace_back(hit.first->seq, hit.second->seq);
       }
@@ -219,6 +303,9 @@ std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
       }
     }
   }
+  for (const auto& [var, meta] : frontier.meta()) {
+    out.verdicts[var] = meta.concurrent;
+  }
   return out;
 }
 
@@ -227,20 +314,29 @@ class ClockEngineStreaming : public ::testing::TestWithParam<int> {};
 TEST_P(ClockEngineStreaming, StreamedPairsMatchAtEveryRetireCadence) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const std::vector<Event> events = random_trace(seed);
+  const auto seq_index = index_by_seq(events);
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kHbOnly}) {
-    RaceDetectorConfig epoch;
-    epoch.mode = mode;
-    epoch.analysis_threads = 1;
-    epoch.clock = ClockEngine::kEpoch;
-    RaceDetectorConfig vector = epoch;
-    vector.clock = ClockEngine::kVector;
+    const oracle::Oracle reference(events, mode);
+    const auto expected = reference.verdicts();
+    RaceDetectorConfig cfg;
+    cfg.mode = mode;
+    cfg.analysis_threads = 1;
+    stream(events, cfg, 0, &reference);  // retained epochs vs dense clocks.
     for (const std::size_t cadence :
          {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-      EXPECT_EQ(streamed_pairs(events, epoch, cadence),
-                streamed_pairs(events, vector, cadence))
+      const Streamed got = stream(events, cfg, cadence);
+      EXPECT_EQ(got.verdicts, expected)
           << "mode=" << detector_mode_name(mode) << " cadence=" << cadence
           << " seed=" << seed;
+      for (const auto& [var, pairs] : got.pairs) {
+        for (const SeqPair& p : pairs) {
+          EXPECT_TRUE(oracle::accesses_racy(reference, seq_index.at(p.first),
+                                            seq_index.at(p.second)))
+              << "var=" << var << " mode=" << detector_mode_name(mode)
+              << " cadence=" << cadence << " seed=" << seed;
+        }
+      }
     }
   }
 }
@@ -253,7 +349,6 @@ TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
   const std::vector<Event> events = random_trace(7);
   RaceDetectorConfig cfg;
   cfg.analysis_threads = 1;
-  cfg.clock = ClockEngine::kEpoch;
   HappensBeforeConfig hb_cfg;
   IncrementalHb hb(hb_cfg);
   IncrementalFrontier frontier(cfg);
@@ -280,10 +375,113 @@ TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
   EXPECT_GT(frontier.epoch_promotions(), 0u);
   // Promotions are bounded by racy records, never the whole stream.
   EXPECT_LE(frontier.epoch_promotions(), pairs);
-  EXPECT_EQ(frontier.clock_allocs(), 0u);  // no private copies under kEpoch.
 }
 
-// -------------------------------------------- end-to-end online equivalence
+// --------------------------------------------------- the oracle at width
+
+/// A seeded trace over `threads` thread ids (>= 1024, the width at which
+/// dense clocks and epochs diverge most in cost): a main thread forks every
+/// other thread, then threads interleave accesses on a small variable pool
+/// under locks, point-to-point message edges, and 4-thread group barriers.
+/// Three variable families keep the verdicts mode-dependent: the shared
+/// pool (100..111) races; 200..203 are only written inside one lock's
+/// critical section (clean in every mode); each group's variable (300 + g)
+/// is written by one member and then barrier-separated from the next write
+/// (HB-ordered, but lockset-only still flags it).
+std::vector<Event> wide_trace(std::uint64_t seed, int threads, int steps) {
+  util::Rng rng(seed);
+  std::vector<std::vector<trace::ObjId>> held(
+      static_cast<std::size_t>(threads));
+  std::vector<Event> events;
+  trace::Seq seq = 1;
+  auto emit = [&](trace::Tid tid, EventKind kind, trace::ObjId obj,
+                  std::uint64_t aux = 0) {
+    Event e;
+    e.seq = seq++;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    e.aux = aux;
+    e.locks_held = held[static_cast<std::size_t>(tid)];
+    events.push_back(std::move(e));
+  };
+  for (trace::Tid t = 1; t < threads; ++t) {
+    emit(0, EventKind::kThreadFork, static_cast<trace::ObjId>(t));
+  }
+  trace::ObjId next_msg = 70000;
+  std::vector<trace::ObjId> in_flight;
+  for (int step = 0; step < steps; ++step) {
+    const auto tid = static_cast<trace::Tid>(
+        rng.next_below(static_cast<std::uint64_t>(threads)));
+    auto& mine = held[static_cast<std::size_t>(tid)];
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 60) {
+      emit(tid,
+           rng.next_bool(0.6) ? EventKind::kMemWrite : EventKind::kMemRead,
+           100 + rng.next_below(12));
+    } else if (roll < 70) {
+      if (mine.empty()) {
+        const trace::ObjId lock = 500 + rng.next_below(2);
+        emit(tid, EventKind::kLockAcquire, lock);
+        mine.push_back(lock);
+      } else {
+        const trace::ObjId lock = mine.back();
+        mine.pop_back();
+        emit(tid, EventKind::kLockRelease, lock);
+      }
+    } else if (roll < 90) {
+      if (rng.next_bool(0.5) || in_flight.empty()) {
+        emit(tid, EventKind::kMsgSend, next_msg);
+        in_flight.push_back(next_msg++);
+      } else {
+        const std::size_t pick = rng.next_below(in_flight.size());
+        emit(tid, EventKind::kMsgRecv, in_flight[pick]);
+        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    } else if (roll < 95) {
+      const trace::Tid first = tid - tid % 4;
+      emit(tid, EventKind::kMemWrite, 300 + static_cast<trace::ObjId>(tid / 4));
+      for (trace::Tid t = first; t < first + 4 && t < threads; ++t) {
+        emit(t, EventKind::kBarrier, 90000 + static_cast<trace::ObjId>(step),
+             static_cast<std::uint64_t>(std::min(4, threads - first)));
+      }
+    } else if (mine.empty()) {
+      const trace::ObjId var = 200 + rng.next_below(4);
+      emit(tid, EventKind::kLockAcquire, 600);
+      mine.push_back(600);
+      emit(tid, EventKind::kMemWrite, var);
+      mine.pop_back();
+      emit(tid, EventKind::kLockRelease, 600);
+    }
+  }
+  return events;
+}
+
+TEST(OracleAtWidth, StampsAndVerdictsMatchOverA1040WideTrace) {
+  const std::vector<Event> events = wide_trace(/*seed=*/1040, /*threads=*/1040,
+                                               /*steps=*/4000);
+  ASSERT_GE(max_tid(events) + 1, 1024);
+  for (const DetectorMode mode :
+       {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
+        DetectorMode::kHbOnly}) {
+    const oracle::Oracle reference(events, mode);
+    const auto expected = reference.verdicts();
+    RaceDetectorConfig cfg;
+    cfg.mode = mode;
+    cfg.max_pairs_per_var = 0;
+    const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+    const std::string where = std::string("mode=") + detector_mode_name(mode);
+    expect_stamps_match(report.hb(), reference, where);
+    expect_report_matches(report, reference, expected, where);
+    // Both verdicts occur, so the comparison is not vacuous.
+    const auto racy = std::count_if(expected.begin(), expected.end(),
+                                    [](const auto& v) { return v.second; });
+    EXPECT_GT(racy, 0) << where;
+    EXPECT_LT(static_cast<std::size_t>(racy), expected.size()) << where;
+  }
+}
+
+// ---------------------------------- end-to-end online pipeline vs the oracle
 
 std::set<std::string> key_set(const Report& report) {
   std::set<std::string> keys;
@@ -293,35 +491,62 @@ std::set<std::string> key_set(const Report& report) {
   return keys;
 }
 
+struct OnlineRun {
+  bool ok = false;
+  Reconciliation reconciliation;
+  std::set<std::string> keys;
+  std::vector<Event> events;  ///< the retained trace, seq-sorted.
+};
+
+OnlineRun run_online(const apps::AppConfig& app, const SessionConfig& scfg) {
+  Session session(scfg);
+  simmpi::UniverseConfig ucfg;
+  ucfg.nranks = app.nranks;
+  ucfg.block_timeout_ms = app.block_timeout_ms;
+  session.configure(ucfg);
+  simmpi::Universe universe(ucfg);
+  session.attach(universe);
+  homp::set_default_threads(app.nthreads);
+  OnlineRun run;
+  run.ok = universe.run([&app](simmpi::Process& p) {
+                     apps::run_app_rank(app, p);
+                   }).ok();
+  session.detach(universe);
+  run.keys = key_set(session.analyze());
+  run.reconciliation = session.reconciliation();
+  run.events = session.log().sorted_events();
+  return run;
+}
+
 TEST(ClockEngineOnline, AnalyzerViolationKeySetsMatchAcrossEngines) {
   // The full streaming pipeline (Session in kOnline mode) on the paper's
-  // injected-violation app: both engines must report the same violation-key
-  // set and reconcile cleanly against the post-mortem pass.
+  // injected-violation app at two retirement cadences: each run reconciles
+  // cleanly against the post-mortem pass, both report the same non-empty
+  // violation-key set, and on each recorded trace the detector's stamps and
+  // verdicts equal the oracle's.
   const apps::AppConfig app = apps::paper_config(apps::AppKind::kLU, 2);
-  auto rank_main = [&app](simmpi::Process& p) { apps::run_app_rank(app, p); };
-
-  auto run = [&](ClockEngine engine, std::size_t retire_interval) {
-    CheckConfig cfg;
-    cfg.nranks = app.nranks;
-    cfg.nthreads = app.nthreads;
-    cfg.block_timeout_ms = app.block_timeout_ms;
-    cfg.session.mode = AnalysisMode::kOnline;
-    cfg.session.clock_engine = engine;
-    cfg.session.online.retire_interval = retire_interval;
-    return check_program(cfg, rank_main);
-  };
-
+  std::set<std::string> first_keys;
   for (const std::size_t retire : {std::size_t{64}, std::size_t{1024}}) {
-    const CheckResult epoch = run(ClockEngine::kEpoch, retire);
-    const CheckResult vector = run(ClockEngine::kVector, retire);
-    ASSERT_TRUE(epoch.run.ok());
-    ASSERT_TRUE(vector.run.ok());
-    EXPECT_TRUE(epoch.reconciliation.ran);
-    EXPECT_TRUE(epoch.reconciliation.equivalent) << "retire=" << retire;
-    EXPECT_TRUE(vector.reconciliation.equivalent) << "retire=" << retire;
-    EXPECT_EQ(key_set(epoch.report), key_set(vector.report))
-        << "retire=" << retire;
-    EXPECT_FALSE(key_set(epoch.report).empty());
+    SessionConfig scfg;
+    scfg.mode = AnalysisMode::kOnline;
+    scfg.online.retire_interval = retire;
+    const OnlineRun run = run_online(app, scfg);
+    ASSERT_TRUE(run.ok);
+    EXPECT_TRUE(run.reconciliation.ran);
+    EXPECT_TRUE(run.reconciliation.equivalent) << "retire=" << retire;
+    EXPECT_FALSE(run.keys.empty());
+    if (first_keys.empty()) {
+      first_keys = run.keys;
+    } else {
+      EXPECT_EQ(run.keys, first_keys) << "retire=" << retire;
+    }
+
+    const oracle::Oracle reference(run.events, scfg.detector);
+    const ConcurrencyReport report =
+        RaceDetector(make_detector_config(scfg)).analyze(run.events);
+    const std::string where = "retire=" + std::to_string(retire);
+    expect_stamps_match(report.hb(), reference, where);
+    expect_report_matches(report, reference, reference.verdicts(), where);
   }
 }
 
@@ -460,46 +685,43 @@ TEST(FlatMap, EraseIfMatchesStdMapSemantics) {
 // ------------------------------------------------------------------ Stamp
 
 TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
-  // Build a real two-thread history through IncrementalHb and verify the
-  // epoch answers match full-clock answers for a retained stamp.
+  // Build a real two-thread history through IncrementalHb and check the
+  // retained stamp's answers — epoch-only and promoted to an interned full
+  // clock — against the oracle's dense clocks for the same events.
+  auto event = [](trace::Seq seq, trace::Tid tid, EventKind kind,
+                  trace::ObjId obj) {
+    Event e;
+    e.seq = seq;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    return e;
+  };
+  const std::vector<Event> events = {
+      event(1, 0, EventKind::kMemWrite, 100),
+      event(2, 1, EventKind::kMemWrite, 100),  // unsynchronized.
+      event(3, 0, EventKind::kMsgSend, 7000),
+      event(4, 1, EventKind::kMsgRecv, 7000),  // now ordered after event 1.
+  };
+  const oracle::Oracle reference(events, DetectorMode::kHybrid);
+  ClockArena arena;
   IncrementalHb hb;
-  Event w1;
-  w1.seq = 1;
-  w1.tid = 0;
-  w1.kind = EventKind::kMemWrite;
-  w1.obj = 100;
-  const StampView v1 = hb.advance(w1);
+  const StampView v1 = hb.advance(events[0]);
   const Stamp epoch = Stamp::epoch(v1);
-  const Stamp full = Stamp::full_copy(v1);
+  const Stamp full = Stamp::interned(v1, arena);
   const VectorClock c1 = v1.to_clock();
+  EXPECT_EQ(c1, reference.clock(0));
 
-  // Unsynchronized second thread: not ordered.
-  Event w2;
-  w2.seq = 2;
-  w2.tid = 1;
-  w2.kind = EventKind::kMemWrite;
-  w2.obj = 100;
-  const StampView v2 = hb.advance(w2);
+  const StampView v2 = hb.advance(events[1]);
+  EXPECT_TRUE(reference.concurrent(0, 1));
   EXPECT_FALSE(epoch.leq_later(v2));
   EXPECT_FALSE(full.leq_later(v2));
-  EXPECT_TRUE(stamp_concurrent_full(full, v2));
 
-  // Synchronize via a message edge: now ordered.
-  Event send;
-  send.seq = 3;
-  send.tid = 0;
-  send.kind = EventKind::kMsgSend;
-  send.obj = 7000;
-  hb.advance(send);
-  Event recv;
-  recv.seq = 4;
-  recv.tid = 1;
-  recv.kind = EventKind::kMsgRecv;
-  recv.obj = 7000;
-  const StampView v4 = hb.advance(recv);
+  hb.advance(events[2]);
+  const StampView v4 = hb.advance(events[3]);
+  EXPECT_TRUE(reference.ordered(0, 3));
   EXPECT_TRUE(epoch.leq_later(v4));
   EXPECT_TRUE(full.leq_later(v4));
-  EXPECT_FALSE(stamp_concurrent_full(full, v4));
 
   // Watermark form: epoch vs the meet of both live clocks.
   VectorClock wm;

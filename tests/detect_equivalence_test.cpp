@@ -1,8 +1,10 @@
 // Equivalence and scaling-infrastructure properties:
-//  * the frontier detector and the pairwise detector report identical
-//    per-variable `concurrent` verdicts on seeded random traces, in all
-//    three DetectorModes, capped and uncapped, serial and parallel,
-//  * the frontier's reported pairs are a subset of genuinely racy pairs
+//  * the production frontier detector reports the same per-variable
+//    `concurrent` verdicts as the independent oracle (tests/oracle/: dense
+//    clocks replayed from the raw events plus the paper's O(k^2) pairwise
+//    check) on seeded random traces, in all three DetectorModes, capped and
+//    uncapped, serial and parallel,
+//  * every pair the frontier reports is in the oracle's racy set
 //    (soundness of the representatives handed to the matcher),
 //  * multi-threaded TraceLog emission loses no events and yields a valid
 //    seq total order (strictly increasing, duplicate-free),
@@ -18,6 +20,7 @@
 #include "src/detect/race_detector.hpp"
 #include "src/trace/trace_log.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracle/oracle.hpp"
 
 namespace home::detect {
 namespace {
@@ -118,7 +121,7 @@ std::map<trace::ObjId, bool> concurrent_map(const ConcurrencyReport& report) {
   return out;
 }
 
-// --------------------------------------------- frontier == pairwise verdicts
+// ----------------------------------------- frontier == oracle pairwise verdicts
 
 class DetectorEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -128,23 +131,16 @@ TEST_P(DetectorEquivalence, FrontierMatchesPairwiseVerdicts) {
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
         DetectorMode::kHbOnly}) {
+    const auto expected = oracle::Oracle(events, mode).verdicts();
     // Sweep the knobs that must not change the verdict: pair cap on/off and
     // serial vs parallel per-variable analysis.
     for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
       RaceDetectorConfig frontier;
       frontier.mode = mode;
       frontier.max_pairs_per_var = cap;
-      frontier.algo = DetectorAlgo::kFrontier;
       frontier.analysis_threads = (seed % 2 == 0) ? 1 : 4;
-
-      RaceDetectorConfig pairwise = frontier;
-      pairwise.algo = DetectorAlgo::kPairwise;
-
-      const auto frontier_verdicts =
-          concurrent_map(RaceDetector(frontier).analyze(events));
-      const auto pairwise_verdicts =
-          concurrent_map(RaceDetector(pairwise).analyze(events));
-      EXPECT_EQ(frontier_verdicts, pairwise_verdicts)
+      EXPECT_EQ(concurrent_map(RaceDetector(frontier).analyze(events)),
+                expected)
           << "mode=" << detector_mode_name(mode) << " cap=" << cap
           << " seed=" << seed;
     }
@@ -156,8 +152,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DetectorEquivalence, ::testing::Range(0, 104));
 
 TEST(DetectorEquivalence, FrontierPairsAreGenuinelyRacy) {
   // Soundness of the representatives: every pair the frontier reports must
-  // satisfy the mode's racy predicate (the matcher builds violations out of
-  // these).
+  // be in the oracle's racy set for the mode (the matcher builds violations
+  // out of these).
   const std::vector<Event> events = random_trace(421);
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
@@ -165,12 +161,12 @@ TEST(DetectorEquivalence, FrontierPairsAreGenuinelyRacy) {
     RaceDetectorConfig cfg;
     cfg.mode = mode;
     cfg.max_pairs_per_var = 0;
-    cfg.algo = DetectorAlgo::kFrontier;
     const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+    const oracle::Oracle reference(events, mode);
     for (const auto& [var, verdict] : report.verdicts()) {
       for (const ConcurrentPair& pair : verdict.pairs) {
         EXPECT_LT(pair.first, pair.second);
-        EXPECT_TRUE(accesses_racy(mode, report.hb(), pair.first, pair.second))
+        EXPECT_TRUE(oracle::accesses_racy(reference, pair.first, pair.second))
             << "mode=" << detector_mode_name(mode) << " var=" << var;
         EXPECT_EQ(report.hb().events()[pair.first].obj, var);
         EXPECT_EQ(report.hb().events()[pair.second].obj, var);

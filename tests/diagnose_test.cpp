@@ -24,6 +24,7 @@
 #include "src/diagnose/certificate.hpp"
 #include "src/diagnose/minimize.hpp"
 #include "src/diagnose/provenance.hpp"
+#include "src/diagnose/witness.hpp"
 #include "src/explore/sweeper.hpp"
 #include "src/home/check.hpp"
 #include "src/home/html_report.hpp"
@@ -221,6 +222,49 @@ TEST(Certificate, HumanRenderingNamesTheKey) {
   EXPECT_NE(text.find("Causal chain for " + b.cert.key), std::string::npos);
   EXPECT_NE(text.find("prov.r1"), std::string::npos);
   EXPECT_NE(text.find("prov.r2"), std::string::npos);
+}
+
+TEST(SyncGraph, BarrierEdgesLandAfterCompletionWhenAParticipantRunsAhead) {
+  // Thread 1 arrives at a two-party barrier and keeps emitting before
+  // thread 2 arrives.  The completion join reaches thread 1 only at its
+  // first event after thread 2's arrival, so that is the barrier edge's
+  // target — never the earlier, pre-completion event.
+  trace::TraceLog log;
+  auto emit = [&](trace::Tid tid, EventKind kind, trace::ObjId obj,
+                  std::uint64_t aux = 0) {
+    trace::Event e;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    e.aux = aux;
+    return log.emit(std::move(e));
+  };
+  emit(1, EventKind::kBarrier, 900, 2);
+  const trace::Seq ahead = emit(1, EventKind::kMemWrite, 100);
+  const trace::Seq arrival2 = emit(2, EventKind::kBarrier, 900, 2);
+  const trace::Seq after = emit(1, EventKind::kMemWrite, 101);
+  emit(2, EventKind::kMemWrite, 102);
+  const detect::HbIndex hb =
+      detect::HappensBeforeAnalysis().run(log.sorted_events());
+  const SyncGraph graph(hb, detect::HappensBeforeConfig{});
+
+  const std::size_t n = hb.events().size();
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t to = from + 1; to < n; ++to) {
+      for (const ChainLink& link : graph.shortest_chain(from, to)) {
+        const std::size_t a = hb.index_of_seq(link.from);
+        const std::size_t b = hb.index_of_seq(link.to);
+        EXPECT_LT(link.from, link.to);
+        EXPECT_TRUE(hb.ordered(a, b)) << link.from << " -> " << link.to;
+      }
+    }
+  }
+  const std::size_t i_arrival2 = hb.index_of_seq(arrival2);
+  EXPECT_TRUE(graph.shortest_chain(i_arrival2, hb.index_of_seq(ahead)).empty());
+  const std::vector<ChainLink> chain =
+      graph.shortest_chain(i_arrival2, hb.index_of_seq(after));
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(chain[0].edge, EdgeKind::kBarrier);
 }
 
 // ------------------------------------------------------ adversarial checks

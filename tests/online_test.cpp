@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/detect/frontier.hpp"
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/online/event_queue.hpp"
@@ -445,7 +446,6 @@ TEST_P(FrontierStreamEquivalence, PairsMatchPostMortemAtAnyRetireCadence) {
       RaceDetectorConfig cfg;
       cfg.mode = mode;
       cfg.max_pairs_per_var = cap;
-      cfg.algo = detect::DetectorAlgo::kFrontier;
       cfg.analysis_threads = 1;
       const auto expected =
           post_mortem_pairs(detect::RaceDetector(cfg).analyze(events));
@@ -487,7 +487,7 @@ TEST(FrontierStreamEquivalence, LocksetOnlyMatchesWithoutRetirement) {
   }
 }
 
-// ------------------------------------- frontier_history ring eviction
+// ------------------------------------- kFrontierHistory ring eviction
 
 Event access_event(trace::Seq seq, trace::Tid tid, trace::ObjId var,
                    std::vector<trace::ObjId> locks = {}) {
@@ -501,7 +501,7 @@ Event access_event(trace::Seq seq, trace::Tid tid, trace::ObjId var,
 }
 
 TEST(FrontierHistoryEviction, RacyPairBeyondRingDepthIsStillReported) {
-  // t0 writes the variable far more than frontier_history times (all the
+  // t0 writes the variable far more than kFrontierHistory times (all the
   // same (write, lockset) class), then t1 writes with no synchronization.
   // The ring has long since evicted t0's early accesses, but the keyed
   // class maximum keeps one representative per class alive — so the race
@@ -516,7 +516,7 @@ TEST(FrontierHistoryEviction, RacyPairBeyondRingDepthIsStillReported) {
 
   RaceDetectorConfig cfg;
   cfg.analysis_threads = 1;
-  ASSERT_GT(20u, cfg.frontier_history);
+  ASSERT_GT(20u, detect::kFrontierHistory);
   const detect::ConcurrencyReport report =
       detect::RaceDetector(cfg).analyze(events);
   const auto it = report.verdicts().find(kVar);
