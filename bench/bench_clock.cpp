@@ -351,28 +351,28 @@ double engine_rows(const Output& out, int threads, int vars,
   return speedup;
 }
 
-/// Post-mortem HbIndex stamp store (ROADMAP clock follow-on (c)): frames
-/// (stamps with the own component zeroed) are interned in the ClockArena, so
-/// a thread's event run between sync edges shares one allocation.  The
+/// Post-mortem HbIndex stamp store: a frame (the stamp with the own
+/// component zeroed) is copied only when the thread's frame generation
+/// moves, so a thread's event run between sync edges shares one frame.  The
 /// workload has compute-bound phases (many accesses per thread per barrier),
 /// the regime real programs live in; hb_dense_stamp_bytes is what the same
-/// stamps cost as private full clocks.  Returns dense/interned.
+/// stamps cost as private full clocks.  Returns dense/factored.
 double hb_index_row(const Output& out, int threads) {
   const std::vector<trace::Event> events =
       bench::phased_trace(/*events_per_var=*/16, threads,
                           /*vars=*/threads * 32);
   const detect::HbIndex hb =
       detect::HappensBeforeAnalysis().run(std::vector<trace::Event>(events));
-  const std::size_t interned = hb.stamp_bytes();
+  const std::size_t factored = hb.stamp_bytes();
   const std::size_t dense = hb.dense_stamp_bytes();
-  const double ratio = interned > 0 ? static_cast<double>(dense) /
-                                          static_cast<double>(interned)
+  const double ratio = factored > 0 ? static_cast<double>(dense) /
+                                          static_cast<double>(factored)
                                     : 0.0;
   bench::JsonRow row("clock_hb_index");
   row.field("threads", threads)
       .field("events", events.size())
       .field("hb_dense_stamp_bytes", dense)
-      .field("hb_clock_bytes", interned)
+      .field("hb_clock_bytes", factored)
       .field("bytes_ratio", ratio);
   out.emit(row);
   return ratio;
@@ -409,14 +409,14 @@ int smoke(const Output& out) {
   const double hb_ratio = hb_index_row(out, /*threads=*/16);
   if (hb_ratio < 2.0) {
     std::fprintf(stderr,
-                 "smoke: interned HbIndex stamps not 2x smaller than dense "
+                 "smoke: factored HbIndex stamps not 2x smaller than dense "
                  "(%.2fx)\n",
                  hb_ratio);
     return 1;
   }
   std::printf(
       "bench_clock --smoke: OK (sweep %.2fx vs oracle, resident %zu vs %zu "
-      "dense bytes, hb index %.1fx smaller interned)\n",
+      "dense bytes, hb index %.1fx smaller factored)\n",
       speedup, epoch_bytes, dense_bytes, hb_ratio);
   return 0;
 }
@@ -462,7 +462,7 @@ int main(int argc, char** argv) {
       status = 1;
     }
     if (hb_index_row(out, flags.get_int("threads", 64)) < 2.0) {
-      std::fprintf(stderr, "bench_clock: interned HbIndex ratio below 2x\n");
+      std::fprintf(stderr, "bench_clock: factored HbIndex ratio below 2x\n");
       status = 1;
     }
   }

@@ -1,8 +1,6 @@
 #include "src/detect/happens_before.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_set>
 
 #include "src/detect/incremental.hpp"
 #include "src/obs/telemetry.hpp"
@@ -25,14 +23,10 @@ constexpr std::uint32_t kSyncKinds =
 
 }  // namespace
 
-HbIndex::HbIndex(std::vector<trace::Event> events,
-                 std::vector<VectorClock> stamps)
+HbIndex::HbIndex(std::vector<trace::Event> events)
     : events_(std::move(events)) {
-  assert(events_.size() == stamps.size());
-  ClockArena& arena = ClockArena::global();
-  stamps_.reserve(stamps.size());
-  std::vector<std::uint64_t> frame;
-  for (std::size_t i = 0; i < stamps.size(); ++i) {
+  stamps_.reserve(events_.size());
+  for (std::size_t i = 0; i < events_.size(); ++i) {
     const trace::Event& e = events_[i];
     const auto t = static_cast<std::size_t>(e.tid);
     if (t >= thread_events_.size()) thread_events_.resize(t + 1);
@@ -43,32 +37,49 @@ HbIndex::HbIndex(std::vector<trace::Event> events,
                                        e.tid, e.kind, e.obj, e.aux});
     }
     mine.push_back(static_cast<std::uint32_t>(i));
-
-    FrameStamp s;
-    s.tid = e.tid;
-    s.own = stamps[i].get(s.tid);
-    dense_stamp_bytes_ += stamps[i].heap_bytes();
-    frame.assign(stamps[i].data(), stamps[i].data() + stamps[i].size());
-    if (static_cast<std::size_t>(s.tid) < frame.size()) {
-      frame[static_cast<std::size_t>(s.tid)] = 0;
-    }
-    s.frame = arena.intern(frame.data(), frame.size());
-    stamps_.push_back(std::move(s));
   }
+}
+
+std::uint32_t HbIndex::copy_frame(const StampView& view,
+                                  const std::uint64_t** out) {
+  std::size_t n = view.size;
+  const auto own = static_cast<std::size_t>(view.tid);
+  while (n > 0 && (n - 1 == own || view.clock[n - 1] == 0)) --n;
+  if (n == 0) {
+    *out = nullptr;
+    return 0;
+  }
+  if (frame_chunks_.empty() ||
+      frame_chunks_.back().capacity() - frame_chunks_.back().size() < n) {
+    // Chunks double up to kMaxChunkWords, so small traces stay small and a
+    // wide one wastes at most one frame's width per chunk.
+    constexpr std::size_t kMinChunkWords = std::size_t{1} << 10;
+    constexpr std::size_t kMaxChunkWords = std::size_t{1} << 17;
+    const std::size_t grown =
+        frame_chunks_.empty()
+            ? kMinChunkWords
+            : std::min(kMaxChunkWords, 2 * frame_chunks_.back().capacity());
+    frame_chunks_.emplace_back().reserve(std::max(grown, n));
+  }
+  std::vector<std::uint64_t>& chunk = frame_chunks_.back();
+  const std::size_t at = chunk.size();
+  chunk.insert(chunk.end(), view.clock, view.clock + n);
+  if (own < n) chunk[at + own] = 0;
+  *out = chunk.data() + at;
+  return static_cast<std::uint32_t>(n);
 }
 
 VectorClock HbIndex::stamp_clock(std::size_t i) const {
   const FrameStamp& s = stamps_[i];
-  VectorClock clock(s.frame->data(), s.frame->size());
+  VectorClock clock(s.frame, s.size);
   clock.set(s.tid, s.own);
   return clock;
 }
 
 std::size_t HbIndex::stamp_bytes() const {
   std::size_t bytes = stamps_.capacity() * sizeof(FrameStamp);
-  std::unordered_set<const InternedClock*> seen;
-  for (const FrameStamp& s : stamps_) {
-    if (seen.insert(s.frame.get()).second) bytes += s.frame->bytes();
+  for (const std::vector<std::uint64_t>& chunk : frame_chunks_) {
+    bytes += chunk.capacity() * sizeof(std::uint64_t);
   }
   return bytes;
 }
@@ -95,46 +106,42 @@ const std::vector<std::uint32_t>& HbIndex::events_of(trace::Tid tid) const {
   return t < thread_events_.size() ? thread_events_[t] : kNone;
 }
 
-std::size_t HbIndex::thread_position(std::size_t i) const {
-  const std::vector<std::uint32_t>& mine = events_of(stamps_[i].tid);
-  // Dense own components put event i at position own - 1; the search only
-  // runs for stamps that did not come from the HB replay.
-  const std::uint64_t own = stamps_[i].own;
-  if (own >= 1 && own <= mine.size() && mine[own - 1] == i) return own - 1;
-  return static_cast<std::size_t>(
-      std::lower_bound(mine.begin(), mine.end(),
-                       static_cast<std::uint32_t>(i)) -
-      mine.begin());
-}
-
 std::size_t HbIndex::knowledge_frontier(std::size_t dst, trace::Tid tid) const {
   const std::uint64_t view = stamp_get(dst, tid);
   if (view == 0) return npos;
-  const std::vector<std::uint32_t>& mine = events_of(tid);
-  if (view <= mine.size() && stamps_[mine[view - 1]].own == view) {
-    return mine[view - 1];
-  }
-  for (std::uint32_t i : mine) {
-    if (stamps_[i].own == view) return i;
-  }
-  return npos;
+  return events_of(tid)[view - 1];
 }
 
 HbIndex HappensBeforeAnalysis::run(std::vector<trace::Event> events) const {
   // One IncrementalHb step per event: the offline replay IS the streaming
   // replay over a buffered stream, so the online engine (src/online/) and
-  // this pass can never diverge on stamps.
+  // this pass can never diverge on stamps.  A thread's frame is copied only
+  // when its generation moved since the thread's previous event.
+  HbIndex index(std::move(events));
   IncrementalHb inc(cfg_);
-  std::vector<VectorClock> stamps(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    stamps[i] = inc.advance(events[i]).to_clock();
+  struct LastFrame {
+    std::uint64_t gen = ~std::uint64_t{0};  ///< none copied yet.
+    const std::uint64_t* frame = nullptr;
+    std::uint32_t size = 0;
+  };
+  std::vector<LastFrame> last(index.thread_events_.size());
+  std::size_t copies = 0;
+  for (const trace::Event& e : index.events_) {
+    const StampView view = inc.advance(e);
+    LastFrame& cur = last[static_cast<std::size_t>(e.tid)];
+    if (cur.gen != view.gen) {
+      cur.size = index.copy_frame(view, &cur.frame);
+      cur.gen = view.gen;
+      ++copies;
+    }
+    index.stamps_.push_back(
+        HbIndex::FrameStamp{e.tid, cur.size, view.value, cur.frame});
+    index.dense_stamp_bytes_ += view.size * sizeof(std::uint64_t);
   }
-  // The post-mortem index needs arbitrary-order queries, but the HbIndex
-  // constructor interns the per-event frames instead of keeping one private
-  // full clock each; one batched fold keeps the replay loop free of atomics.
+  // One batched fold keeps the replay loop free of atomics.
   static obs::Counter& allocs = obs::Registry::global().counter("clock.allocs");
-  if (!events.empty()) allocs.add(events.size());
-  return HbIndex(std::move(events), std::move(stamps));
+  if (copies != 0) allocs.add(copies);
+  return index;
 }
 
 }  // namespace home::detect

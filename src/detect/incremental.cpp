@@ -35,46 +35,60 @@ void IncrementalHb::ensure_tid(trace::Tid tid) {
   if (i >= thread_clock_.size()) {
     thread_clock_.resize(i + 1);
     thread_state_.resize(i + 1, 0);
+    frame_gen_.resize(i + 1, 0);
+    own_hw_.resize(i + 1, 0);
   }
+}
+
+VectorClock& IncrementalHb::live_clock(std::size_t i) {
+  VectorClock& clk = thread_clock_[i];
+  if ((thread_state_[i] & kHasClock) == 0) {
+    thread_state_[i] = static_cast<std::uint8_t>(
+        (thread_state_[i] | kHasClock) & ~kReclaimable);
+    const auto tid = static_cast<trace::Tid>(i);
+    if (own_hw_[i] > clk.get(tid)) clk.set(tid, own_hw_[i]);
+  }
+  return clk;
 }
 
 StampView IncrementalHb::advance(const trace::Event& e) {
   ensure_tid(e.tid);
   const auto ti = static_cast<std::size_t>(e.tid);
-  thread_state_[ti] |= kHasClock;
 
   {
-    VectorClock& clk = thread_clock_[ti];
+    VectorClock& clk = live_clock(ti);
     // Incoming edges before the stamp, mirroring HappensBeforeAnalysis.
+    const VectorClock* in = nullptr;
     switch (e.kind) {
       case trace::EventKind::kLockAcquire:
-        if (cfg_.lock_edges) {
-          if (const VectorClock* lc = lock_clock_.find(e.obj)) clk.join(*lc);
-        }
+        if (cfg_.lock_edges) in = lock_clock_.find(e.obj);
         break;
       case trace::EventKind::kMsgRecv:
-        if (cfg_.message_edges) {
-          if (const VectorClock* mc = message_clock_.find(e.obj)) clk.join(*mc);
-        }
+        if (cfg_.message_edges) in = message_clock_.find(e.obj);
         break;
       case trace::EventKind::kThreadJoin: {
+        // A joined child keeps its clock until retire(), so joining the
+        // same tid twice absorbs its history both times.
         const auto child = static_cast<std::size_t>(e.obj);
-        if (child < thread_clock_.size() &&
-            (thread_state_[child] & kHasClock) != 0) {
-          clk.join(thread_clock_[child]);
+        if (child < thread_clock_.size() && child != ti) {
+          in = &thread_clock_[child];
         }
         break;
       }
       default:
         break;
     }
+    if (in != nullptr && in->size() != 0) {
+      clk.join(*in);
+      ++frame_gen_[ti];
+    }
     clk.bump(e.tid);
   }
 
   // The stamp is the clock right after the bump, BEFORE outgoing edges.
   // Outgoing edges never mutate the issuing thread's own clock except on
-  // barrier completion (joined-accumulator fan-out) and a self-join — those
-  // paths copy the stamp to scratch_ below and return a view over it.
+  // barrier completion (joined-accumulator fan-out) — that path copies the
+  // stamp to scratch_ below and returns a view over it.
   // Growing thread_clock_ (fork / barrier child) moves VectorClock elements,
   // but an element's heap buffer survives the move, so the span stays valid.
   StampView view;
@@ -82,6 +96,7 @@ StampView IncrementalHb::advance(const trace::Event& e) {
   view.value = thread_clock_[ti].get(e.tid);
   view.clock = thread_clock_[ti].data();
   view.size = thread_clock_[ti].size();
+  view.gen = frame_gen_[ti];
 
   // Outgoing edges after the stamp.  References into thread_clock_ are
   // re-fetched by index after any call that may grow it.
@@ -95,24 +110,24 @@ StampView IncrementalHb::advance(const trace::Event& e) {
     case trace::EventKind::kThreadFork: {
       const auto child = static_cast<trace::Tid>(e.obj);
       ensure_tid(child);
-      thread_state_[static_cast<std::size_t>(child)] |= kHasClock;
-      thread_clock_[static_cast<std::size_t>(child)].join(thread_clock_[ti]);
+      const auto ci = static_cast<std::size_t>(child);
+      live_clock(ci).join(thread_clock_[ti]);
+      ++frame_gen_[ci];
       view.clock = thread_clock_[ti].data();
       break;
     }
     case trace::EventKind::kThreadJoin: {
-      // The child's history is absorbed; it will not emit again, so its
-      // clock no longer constrains the watermark and can be reclaimed.
+      // The child's history is absorbed; it no longer constrains the
+      // watermark.  Its clock stays until retire() finds it dominated.
       const auto child = static_cast<std::size_t>(e.obj);
       if (child < thread_clock_.size()) {
-        if (child == ti) {  // degenerate self-join: keep the stamp alive.
-          scratch_ = thread_clock_[ti];
-          view.clock = scratch_.data();
-          view.size = scratch_.size();
+        std::uint8_t& state = thread_state_[child];
+        state = static_cast<std::uint8_t>((state & ~(kHasClock | kDeclared)) |
+                                          kJoined);
+        if ((state & kReclaimable) == 0 && thread_clock_[child].size() != 0) {
+          state |= kReclaimable;
+          joined_.push_back(static_cast<trace::Tid>(child));
         }
-        thread_clock_[child] = VectorClock();
-        thread_state_[child] &= static_cast<std::uint8_t>(~(kHasClock | kDeclared));
-        thread_state_[child] |= kJoined;
       }
       break;
     }
@@ -129,8 +144,9 @@ StampView IncrementalHb::advance(const trace::Event& e) {
         view.size = scratch_.size();
         for (trace::Tid t : acc.arrived) {
           ensure_tid(t);
-          thread_state_[static_cast<std::size_t>(t)] |= kHasClock;
-          thread_clock_[static_cast<std::size_t>(t)].join(acc.joined);
+          const auto i = static_cast<std::size_t>(t);
+          live_clock(i).join(acc.joined);
+          ++frame_gen_[i];
         }
         barriers_.erase(e.obj);
       }
@@ -175,6 +191,20 @@ void IncrementalHb::retire(const VectorClock& watermark) {
   };
   lock_clock_.erase_if(dominated);
   message_clock_.erase_if(dominated);
+  // A joined child's clock below the watermark is in every live thread's
+  // history already; a later join of it, or its own re-emission, loses
+  // nothing a retained record could still be ordered by.
+  std::erase_if(joined_, [&](trace::Tid t) {
+    const auto i = static_cast<std::size_t>(t);
+    if ((thread_state_[i] & kReclaimable) == 0) return true;  // re-emitted.
+    VectorClock& clk = thread_clock_[i];
+    if (!clk.leq(watermark)) return false;
+    own_hw_[i] = clk.get(t);
+    clk = VectorClock();
+    thread_state_[i] &= static_cast<std::uint8_t>(~kReclaimable);
+    ++frame_gen_[i];
+    return true;
+  });
 }
 
 std::size_t IncrementalHb::resident_entries() const {

@@ -35,6 +35,21 @@
 // conservative: a declared thread that has not stamped anything yet pins it
 // at zero, and a thread that stops emitting without being joined freezes it
 // at its last clock.
+//
+// Frame generations: a thread's clock changes other than by its own tick
+// only at an incoming lock/message/join edge, a fork into it, a barrier
+// fan-out, or the reclaim of its clock after a join.  Each of those bumps
+// the thread's generation, and every StampView carries it, so a consumer
+// that keeps per-event stamps (HappensBeforeAnalysis::run) copies the
+// thread's frame — its clock with the own component zeroed — only when the
+// generation moves.
+//
+// Re-emission after a join: a joined child keeps its clock (a later join of
+// the same tid still absorbs its history, and a tid that emits again keeps
+// counting from it).  Only retire() reclaims it, once the watermark
+// dominates it, and a per-tid own high-water mark keeps the own component
+// of a re-emitting tid unique.  Post-mortem never retires, so its stamps
+// equal the dense replay's exactly.
 #pragma once
 
 #include <cstddef>
@@ -94,9 +109,10 @@ class IncrementalHb {
   bool watermark(VectorClock* out) const;
 
   /// Reclaim synchronization state that can no longer order anything: lock
-  /// and message clocks at or below the watermark (joining them into any
-  /// future stamp is a no-op).  Barrier accumulators are kept — an
-  /// in-flight barrier still owes its arrivals a join.
+  /// and message clocks, and the clocks of joined threads, at or below the
+  /// watermark (joining them into any future stamp is a no-op).  Barrier
+  /// accumulators are kept — an in-flight barrier still owes its arrivals a
+  /// join.
   void retire(const VectorClock& watermark);
 
   /// Retained lock/message/barrier entries plus thread clocks (diagnostic;
@@ -118,8 +134,12 @@ class IncrementalHb {
   static constexpr std::uint8_t kHasClock = 1;  ///< observed or fork target.
   static constexpr std::uint8_t kDeclared = 2;
   static constexpr std::uint8_t kJoined = 4;
+  static constexpr std::uint8_t kReclaimable = 8;  ///< joined, clock kept.
 
   void ensure_tid(trace::Tid tid);
+  /// Thread i's clock, marked live; a tid whose clock was reclaimed after a
+  /// join resumes its own component from the high-water mark.
+  VectorClock& live_clock(std::size_t i);
 
   HappensBeforeConfig cfg_;
   /// Dense by tid (registry tids are small ints) — no tree nodes, no
@@ -128,12 +148,15 @@ class IncrementalHb {
   /// while outgoing edges create new threads.
   std::vector<VectorClock> thread_clock_;
   std::vector<std::uint8_t> thread_state_;
+  std::vector<std::uint64_t> frame_gen_;  ///< by tid; see the header note.
+  std::vector<std::uint64_t> own_hw_;     ///< own component at reclaim.
+  std::vector<trace::Tid> joined_;        ///< kReclaimable candidates.
   FlatMap<VectorClock> lock_clock_;
   FlatMap<VectorClock> message_clock_;
   FlatMap<BarrierAcc> barriers_;
-  /// Stamp storage for the events whose outgoing edges mutate the issuing
-  /// thread's own clock (barrier completion, self-join) — the view must show
-  /// the pre-edge stamp, so those events copy it here first.
+  /// Stamp storage for the one event whose outgoing edges mutate the
+  /// issuing thread's own clock (barrier completion) — the view must show
+  /// the pre-edge stamp, so that event copies it here first.
   VectorClock scratch_;
 };
 

@@ -42,13 +42,15 @@ struct StampView {
   std::uint64_t value = 0;              ///< own component, after the bump.
   const std::uint64_t* clock = nullptr;
   std::size_t size = 0;
+  /// The issuing thread's frame generation: two views of one thread with
+  /// the same `gen` have the same clock apart from the own component, so a
+  /// consumer that keeps frames (HbIndex) copies one only when it moves.
+  std::uint64_t gen = 0;
 
   std::uint64_t get(trace::Tid t) const {
     const auto i = static_cast<std::size_t>(t);
     return i < size ? clock[i] : 0;
   }
-  /// Materialize a private VectorClock (post-mortem HbIndex stamps).
-  VectorClock to_clock() const { return VectorClock(clock, size); }
 };
 
 class Stamp {

@@ -17,7 +17,7 @@ class VectorClock {
  public:
   VectorClock() = default;
   explicit VectorClock(std::size_t nthreads) : c_(nthreads, 0) {}
-  /// Copy from a raw component span (epoch-engine StampView materialization).
+  /// Copy from a raw component span (a StampView or an HbIndex frame).
   VectorClock(const std::uint64_t* data, std::size_t n) : c_(data, data + n) {}
 
   std::uint64_t get(trace::Tid tid) const {

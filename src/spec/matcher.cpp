@@ -167,9 +167,10 @@ std::vector<Violation> Matcher::match(const ConcurrencyReport& report) const {
           }
           continue;
         }
-        // Cross-thread: a call concurrent with or after finalize means the
-        // rank finalized with communication pending on another thread.
-        if (hb.concurrent(fi, ci) || hb.ordered(fi, ci)) {
+        // Cross-thread: a call concurrent with or after finalize (i.e. not
+        // ordered before it) means the rank finalized with communication
+        // pending on another thread.
+        if (!hb.ordered(ci, fi)) {
           add(rules::finalize_unordered(fin, call, strings_));
         }
       }

@@ -3,11 +3,14 @@
 // raw events, never through IncrementalHb, plus the paper's O(k^2) check)
 // everywhere —
 //  * post-mortem: HbIndex::stamp_get equals the oracle's dense clock for
-//    every event and thread, the epoch test agrees with the dense test on
-//    every cross-thread pair of accesses to one variable, per-variable
-//    verdicts equal the oracle's, and every reported pair is in the
-//    oracle's racy set — across all DetectorModes, capped and uncapped, on
-//    seeded random traces and on one trace 1040 thread ids wide,
+//    every event and thread, HbIndex::ordered equals the oracle's dense
+//    order on every event pair (sampled on the wide trace), the epoch test
+//    agrees with the dense test on every cross-thread pair of accesses to
+//    one variable, a thread id that emits again after its join keeps
+//    counting, per-variable verdicts equal the oracle's, and every reported
+//    pair is in the oracle's racy set — across all DetectorModes, capped
+//    and uncapped, on seeded random traces and on one trace 1040 thread ids
+//    wide,
 //  * online: the streamed frontier's verdicts and pairs pass the same checks
 //    at every retirement cadence, its retained epochs answer leq_later like
 //    the dense clocks, and the OnlineAnalyzer's violation keys reconcile
@@ -159,6 +162,23 @@ void expect_stamps_match(const HbIndex& hb, const oracle::Oracle& reference,
   }
 }
 
+/// HbIndex::ordered (one stamp component read) equals the oracle's dense
+/// pointwise order on every pair of events, self-pairs included.
+void expect_ordered_matches(const HbIndex& hb, const oracle::Oracle& reference,
+                            const std::string& where) {
+  const std::size_t n = reference.events().size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (hb.ordered(i, j) != reference.ordered(i, j)) {
+        ADD_FAILURE() << where << ": ordered(" << i << ", " << j
+                      << ") is " << hb.ordered(i, j) << ", oracle says "
+                      << reference.ordered(i, j);
+        return;
+      }
+    }
+  }
+}
+
 /// The O(1) epoch test the sweep answers with (stamp_j[tid_j] >
 /// stamp_i[tid_j] for seq-ordered j < i) agrees with the oracle's dense
 /// two-sided test on every cross-thread pair of accesses to one variable.
@@ -232,6 +252,7 @@ TEST_P(ClockEngineEquivalence, PostMortemVerdictsAndPairsMatch) {
       expect_report_matches(report, reference, expected, where);
       if (cap == 0) {  // the HB index does not depend on the pair cap.
         expect_stamps_match(report.hb(), reference, where);
+        expect_ordered_matches(report.hb(), reference, where);
         expect_epoch_test_matches(report.hb(), reference, where);
       }
     }
@@ -377,6 +398,102 @@ TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
   EXPECT_LE(frontier.epoch_promotions(), pairs);
 }
 
+// ------------------------------------------ a joined thread id emits again
+
+TEST(ReEmission, JoinedTidThatEmitsAgainMatchesTheOracle) {
+  // t0 forks t1; t1 writes x; t0 joins t1; t1 writes x again; t0 writes x.
+  // t1's second write is unordered with t0's: the join absorbed only what
+  // t1 did before it.  t1 must keep counting (own component 2, not a
+  // restart at 1) or that write would look ordered before t0's.
+  auto event = [](trace::Seq seq, trace::Tid tid, EventKind kind,
+                  trace::ObjId obj) {
+    Event e;
+    e.seq = seq;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    return e;
+  };
+  constexpr trace::ObjId kX = 100;
+  const std::vector<Event> events = {
+      event(1, 0, EventKind::kThreadFork, 1),
+      event(2, 1, EventKind::kMemWrite, kX),
+      event(3, 0, EventKind::kThreadJoin, 1),
+      event(4, 1, EventKind::kMemWrite, kX),
+      event(5, 0, EventKind::kMemWrite, kX),
+  };
+  const auto seq_index = index_by_seq(events);
+  for (const DetectorMode mode :
+       {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
+        DetectorMode::kHbOnly}) {
+    const std::string where = std::string("mode=") + detector_mode_name(mode);
+    const oracle::Oracle reference(events, mode);
+    const auto expected = reference.verdicts();
+    ASSERT_TRUE(expected.at(kX)) << where;
+    RaceDetectorConfig cfg;
+    cfg.mode = mode;
+    cfg.analysis_threads = 1;
+    const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+    expect_report_matches(report, reference, expected, where);
+    expect_stamps_match(report.hb(), reference, where);
+    expect_ordered_matches(report.hb(), reference, where);
+    const HbIndex& hb = report.hb();
+    EXPECT_EQ(hb.stamp_get(3, 1), 2u) << where;
+    EXPECT_TRUE(hb.concurrent(3, 4)) << where;
+    // Dense own components keep the O(1) position and frontier lookups.
+    EXPECT_EQ(hb.thread_position(3), 1u) << where;
+    EXPECT_EQ(hb.knowledge_frontier(2, 1), 1u) << where;
+    EXPECT_EQ(hb.knowledge_frontier(4, 1), 1u) << where;
+
+    if (mode == DetectorMode::kLocksetOnly) continue;  // never retires.
+    // Streamed, the joined clock is reclaimed after the join at cadence 1
+    // (the watermark dominates it) and the re-emitting tid resumes from
+    // its own high-water mark.
+    for (const std::size_t cadence : {std::size_t{0}, std::size_t{1}}) {
+      const Streamed got = stream(events, cfg, cadence);
+      EXPECT_EQ(got.verdicts, expected) << where << " cadence=" << cadence;
+      for (const auto& [var, pairs] : got.pairs) {
+        for (const SeqPair& p : pairs) {
+          EXPECT_TRUE(oracle::accesses_racy(reference, seq_index.at(p.first),
+                                            seq_index.at(p.second)))
+              << where << " cadence=" << cadence << " var=" << var;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReEmission, ReclaimedClockResumesOwnComponent) {
+  // The same history fed to IncrementalHb directly: retire() reclaims the
+  // joined clock (the watermark dominates it), and t1's next stamp still
+  // continues at 2.  What was reclaimed is in every live clock already, so
+  // dropping it orders no retained record differently.
+  auto event = [](trace::Seq seq, trace::Tid tid, EventKind kind,
+                  trace::ObjId obj) {
+    Event e;
+    e.seq = seq;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    return e;
+  };
+  IncrementalHb hb;
+  hb.declare_thread(0);
+  hb.declare_thread(1);
+  hb.advance(event(1, 0, EventKind::kThreadFork, 1));
+  hb.advance(event(2, 1, EventKind::kMemWrite, 100));
+  hb.advance(event(3, 0, EventKind::kThreadJoin, 1));
+  EXPECT_EQ(hb.clock(1), nullptr);  // joined: no longer live.
+  VectorClock wm;
+  ASSERT_TRUE(hb.watermark(&wm));
+  const std::size_t before = hb.resident_clock_bytes();
+  hb.retire(wm);
+  EXPECT_LT(hb.resident_clock_bytes(), before);  // the joined clock is gone.
+  const StampView again = hb.advance(event(4, 1, EventKind::kMemWrite, 100));
+  EXPECT_EQ(again.value, 2u);
+  EXPECT_EQ(again.get(0), 0u);  // the reclaimed history.
+}
+
 // --------------------------------------------------- the oracle at width
 
 /// A seeded trace over `threads` thread ids (>= 1024, the width at which
@@ -457,6 +574,72 @@ std::vector<Event> wide_trace(std::uint64_t seed, int threads, int steps) {
   return events;
 }
 
+/// HbIndex::ordered (one component read) against the oracle's 1040-wide
+/// dense order: 100k seeded uniform pairs, plus the pairs an O(1) order
+/// gets wrong first if the own-component lemma breaks — same-thread pairs,
+/// self-pairs, and barrier completers (stamped before the fan-out joins
+/// back into their own clock) against their fellow arrivals, those
+/// arrivals' next events, and random events.
+void expect_ordered_matches_sampled(const HbIndex& hb,
+                                    const oracle::Oracle& reference,
+                                    std::uint64_t seed,
+                                    const std::string& where) {
+  const std::vector<Event>& events = reference.events();
+  const std::size_t n = events.size();
+  std::size_t checked = 0;
+  std::size_t ordered = 0;
+  std::size_t mismatches = 0;
+  auto check = [&](std::size_t i, std::size_t j) {
+    ++checked;
+    const bool got = hb.ordered(i, j);
+    ordered += got ? 1 : 0;
+    if (got != reference.ordered(i, j) && ++mismatches <= 5) {
+      ADD_FAILURE() << where << ": ordered(" << i << ", " << j << ") is "
+                    << got;
+    }
+  };
+  util::Rng rng(seed);
+  for (int k = 0; k < 100000; ++k) {
+    check(rng.next_below(n), rng.next_below(n));
+  }
+  for (int k = 0; k < 20000; ++k) {  // same thread, both directions.
+    const std::size_t i = rng.next_below(n);
+    const std::vector<std::uint32_t>& mine = hb.events_of(events[i].tid);
+    check(i, mine[rng.next_below(mine.size())]);
+  }
+  for (std::size_t i = 0; i < n; ++i) check(i, i);
+  std::size_t completers = 0;
+  std::map<trace::ObjId, std::vector<std::size_t>> arrived;
+  for (std::size_t done = 0; done < n; ++done) {
+    if (events[done].kind != EventKind::kBarrier) continue;
+    std::vector<std::size_t>& group = arrived[events[done].obj];
+    group.push_back(done);
+    if (group.size() < events[done].aux) continue;
+    ++completers;
+    for (const std::size_t a : group) {
+      check(a, done);
+      check(done, a);
+      const std::vector<std::uint32_t>& mine = hb.events_of(events[a].tid);
+      const std::size_t next = hb.thread_position(a) + 1;
+      if (next < mine.size()) {
+        check(done, mine[next]);
+        check(mine[next], done);
+      }
+    }
+    for (int k = 0; k < 16; ++k) {
+      const std::size_t other = rng.next_below(n);
+      check(done, other);
+      check(other, done);
+    }
+    arrived.erase(events[done].obj);
+  }
+  EXPECT_GT(completers, 0u) << where;
+  EXPECT_EQ(mismatches, 0u) << where << " over " << checked << " pairs";
+  // Both answers occur, so the comparison is not vacuous.
+  EXPECT_GT(ordered, 0u) << where;
+  EXPECT_LT(ordered, checked) << where;
+}
+
 TEST(OracleAtWidth, StampsAndVerdictsMatchOverA1040WideTrace) {
   const std::vector<Event> events = wide_trace(/*seed=*/1040, /*threads=*/1040,
                                                /*steps=*/4000);
@@ -472,6 +655,9 @@ TEST(OracleAtWidth, StampsAndVerdictsMatchOverA1040WideTrace) {
     const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
     const std::string where = std::string("mode=") + detector_mode_name(mode);
     expect_stamps_match(report.hb(), reference, where);
+    expect_ordered_matches_sampled(
+        report.hb(), reference, 0x0D1E4ED + static_cast<std::uint64_t>(mode),
+        where);
     expect_report_matches(report, reference, expected, where);
     // Both verdicts occur, so the comparison is not vacuous.
     const auto racy = std::count_if(expected.begin(), expected.end(),
@@ -709,7 +895,7 @@ TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
   const StampView v1 = hb.advance(events[0]);
   const Stamp epoch = Stamp::epoch(v1);
   const Stamp full = Stamp::interned(v1, arena);
-  const VectorClock c1 = v1.to_clock();
+  const VectorClock c1(v1.clock, v1.size);
   EXPECT_EQ(c1, reference.clock(0));
 
   const StampView v2 = hb.advance(events[1]);

@@ -6,6 +6,7 @@
 #include "src/detect/lockset.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/detect/vector_clock.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/trace/event.hpp"
 #include "src/util/rng.hpp"
 #include "tests/oracle/oracle.hpp"
@@ -269,6 +270,42 @@ TEST(HappensBefore, JoinOrdersChildBeforeParent) {
   };
   HbIndex hb = HappensBeforeAnalysis().run(events);
   EXPECT_TRUE(hb.ordered(0, 2));
+}
+
+TEST(HappensBefore, CopiesOneFrameWhenAThreadsGenerationMoves) {
+  // clock.allocs counts frame copies: each thread's first event, then one
+  // per incoming edge (message receive, barrier fan-out) — never one per
+  // event.  The barrier completer (event 7) is stamped before its fan-out,
+  // so it still shares event 5's frame.
+  std::vector<Event> events{
+      make_event(1, 0, EventKind::kMemWrite, 5),   // t0 first: copy.
+      make_event(2, 0, EventKind::kMemWrite, 5),
+      make_event(3, 0, EventKind::kMsgSend, 900),
+      make_event(4, 1, EventKind::kMemWrite, 5),   // t1 first: copy.
+      make_event(5, 1, EventKind::kMsgRecv, 900),  // incoming edge: copy.
+      make_event(6, 1, EventKind::kMemWrite, 5),
+      make_event(7, 0, EventKind::kBarrier, 77, {}, /*aux=*/2),
+      make_event(8, 1, EventKind::kBarrier, 77, {}, /*aux=*/2),
+      make_event(9, 0, EventKind::kMemWrite, 5),   // after fan-out: copy.
+      make_event(10, 1, EventKind::kMemWrite, 5),  // after fan-out: copy.
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& allocs = obs::Registry::global().counter("clock.allocs");
+  const std::uint64_t before = allocs.value();
+  const HbIndex hb = HappensBeforeAnalysis().run(events);
+  const std::uint64_t copies = allocs.value() - before;
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(copies, 5u);
+  const oracle::Oracle reference(events, DetectorMode::kHybrid);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(hb.stamp_clock(i), reference.clock(i)) << "event " << i;
+  }
+  EXPECT_TRUE(hb.ordered(2, 4));
+  EXPECT_TRUE(hb.ordered(6, 9));  // t0's barrier arrival -> t1 after it.
+  // ... but not -> the completer, which is stamped before its fan-out.
+  EXPECT_FALSE(hb.ordered(6, 7));
+  EXPECT_FALSE(reference.ordered(6, 7));
 }
 
 TEST(HappensBefore, BarrierSeparatesPhases) {
