@@ -1,5 +1,5 @@
-// Clock-engine bench: production's epoch stamps + interned clocks vs the
-// dense per-event vector clocks of the independent test oracle
+// Clock-engine bench: production's epoch stamps and factored HbIndex frames
+// vs the dense per-event vector clocks of the independent test oracle
 // (tests/oracle/, the paper's O(k^2) formulation).
 //
 // Three experiments, each one JSON row per sweep point (stdout and
@@ -9,10 +9,10 @@
 //                   race-free trace (the NPB long-clean-trace shape) at 64
 //                   threads vs the oracle's pairwise verdicts, each with its
 //                   own HB replay timed out of the sweep figure
-//   clock_resident  streamed frontier resident clock-bytes at 64 threads vs
-//                   what the same resident records would pin as the
-//                   oracle's dense clocks, on both the clean and the racy
-//                   trace
+//   clock_resident  streamed frontier resident clock-bytes at 64 threads (one
+//                   16-byte epoch Stamp per resident record) vs what the
+//                   same resident records would pin as the oracle's dense
+//                   clocks, on both the clean and the racy trace
 //
 // Modes:
 //   bench_clock            full sweep (acceptance: >= 3x sweep speedup and
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bench/fig_common.hpp"
-#include "src/detect/clock_arena.hpp"
 #include "src/detect/frontier.hpp"
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
@@ -167,12 +166,12 @@ OracleRun run_oracle(const std::vector<trace::Event>& events) {
 // ---------------------------------------- streamed resident clock-bytes
 
 struct ResidentRun {
+  /// Resident records priced as their retained epochs.
   std::size_t peak_frontier_clock_bytes = 0;
   /// The same resident records priced as the oracle's dense clocks (one
   /// private full clock per record).
   std::size_t peak_dense_clock_bytes = 0;
   std::size_t peak_hb_clock_bytes = 0;
-  std::size_t promotions = 0;
   std::size_t racy_pairs = 0;
 };
 
@@ -189,8 +188,9 @@ ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
   std::vector<std::pair<std::weak_ptr<const detect::OnlineAccess>, std::size_t>>
       records;
   auto sample = [&] {
-    run.peak_frontier_clock_bytes = std::max(run.peak_frontier_clock_bytes,
-                                             frontier.resident_clock_bytes());
+    run.peak_frontier_clock_bytes =
+        std::max(run.peak_frontier_clock_bytes,
+                 frontier.resident_records() * sizeof(detect::Stamp));
     run.peak_hb_clock_bytes =
         std::max(run.peak_hb_clock_bytes, hb.resident_clock_bytes());
     records.erase(std::remove_if(records.begin(), records.end(),
@@ -231,12 +231,10 @@ ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
       if (hb.watermark(&wm)) {
         frontier.retire(wm);
         hb.retire(wm);
-        detect::ClockArena::global().compact();
       }
     }
   }
   sample();  // catch the final state too (short traces may miss the cadence).
-  run.promotions = frontier.epoch_promotions();
   return run;
 }
 
@@ -318,7 +316,7 @@ double engine_rows(const Output& out, int threads, int vars,
 
   // Resident clock bytes: the clean stream is the headline (epoch keeps
   // 16-byte stamps; a dense clock per record pins O(threads) bytes), the
-  // racy stream shows promotions + arena sharing under real concurrency.
+  // racy stream shows the same under real concurrency.
   const ResidentRun clean_run = run_resident(clean, threads, 256);
   *epoch_bytes = clean_run.peak_frontier_clock_bytes;
   *dense_bytes = clean_run.peak_dense_clock_bytes;
@@ -329,8 +327,7 @@ double engine_rows(const Output& out, int threads, int vars,
         .field("events", clean.size())
         .field("epoch_clock_bytes", clean_run.peak_frontier_clock_bytes)
         .field("dense_clock_bytes", clean_run.peak_dense_clock_bytes)
-        .field("hb_clock_bytes", clean_run.peak_hb_clock_bytes)
-        .field("promotions", clean_run.promotions);
+        .field("hb_clock_bytes", clean_run.peak_hb_clock_bytes);
     out.emit(row);
   }
   const std::vector<trace::Event> racy =
@@ -344,7 +341,6 @@ double engine_rows(const Output& out, int threads, int vars,
         .field("epoch_clock_bytes", racy_run.peak_frontier_clock_bytes)
         .field("dense_clock_bytes", racy_run.peak_dense_clock_bytes)
         .field("hb_clock_bytes", racy_run.peak_hb_clock_bytes)
-        .field("promotions", racy_run.promotions)
         .field("racy_pairs", racy_run.racy_pairs);
     out.emit(row);
   }

@@ -1,32 +1,8 @@
 #include "src/detect/incremental.hpp"
 
-#include <algorithm>
-
-#include "src/detect/frontier.hpp"
+#include <utility>
 
 namespace home::detect {
-
-bool online_accesses_racy(DetectorMode mode, const OnlineAccess& a,
-                          const OnlineAccess& b, const StampView& bv) {
-  if (a.tid == b.tid) return false;
-  if (!a.write && !b.write) return false;
-  if (mode == DetectorMode::kLocksetOnly) {
-    return trace::locksets_disjoint(a.locks, b.locks);
-  }
-  // b was stamped at-or-after a and on another thread, so b <= a is
-  // impossible (b's own component already exceeds a's view of it) and
-  // concurrency reduces to !(a <= b) — the O(1) epoch test.
-  const bool unordered = !a.stamp.leq_later(bv);
-  switch (mode) {
-    case DetectorMode::kHybrid:
-      return unordered && trace::locksets_disjoint(a.locks, b.locks);
-    case DetectorMode::kHbOnly:
-      return unordered;
-    case DetectorMode::kLocksetOnly:
-      break;  // handled above.
-  }
-  return false;
-}
 
 // ------------------------------------------------------------- IncrementalHb
 
@@ -239,119 +215,39 @@ const VectorClock* IncrementalHb::clock(trace::Tid tid) const {
 
 // ------------------------------------------------------- IncrementalFrontier
 
-namespace {
-
-bool same_class(const OnlineAccess& a, const OnlineAccess& b) {
-  return a.write == b.write && a.locks == b.locks;
-}
-
-}  // namespace
-
 void IncrementalFrontier::on_access(trace::ObjId var,
                                     std::shared_ptr<OnlineAccess> rec,
                                     const StampView& view,
                                     std::vector<PairHit>* hits) {
   VarMeta& meta = meta_[var];
   if (meta.saturated) return;  // pair budget spent: the sweep has stopped.
-  VarFrontier& vf = vars_[var];
-
-  // A 16-byte epoch, promoted below on the record's first racy hit.
   rec->stamp = Stamp::epoch(view);
+  const std::shared_ptr<const OnlineAccess> incoming = std::move(rec);
 
-  // Candidates: the other threads' frontier entries, seq-sorted and
-  // deduplicated — the exact candidate order of frontier_sweep_variable.
-  candidates_.clear();
-  for (const auto& [tid, frontier] : vf.threads) {
-    if (tid == rec->tid) continue;
-    for (const auto& c : frontier.keyed) candidates_.push_back(c);
-    for (const auto& c : frontier.recent) candidates_.push_back(c);
-  }
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const auto& a, const auto& b) { return a->seq < b->seq; });
-  candidates_.erase(std::unique(candidates_.begin(), candidates_.end(),
-                                [](const auto& a, const auto& b) {
-                                  return a->seq == b->seq;
-                                }),
-                    candidates_.end());
-
-  if (cfg_.mode != DetectorMode::kLocksetOnly) {
-    epoch_hits_ += candidates_.size();
-  }
-  for (const auto& cand : candidates_) {
-    if (!online_accesses_racy(cfg_.mode, *cand, *rec, view)) {
-      continue;
-    }
-    meta.concurrent = true;
-    if (cfg_.max_pairs_per_var != 0 && meta.pairs >= cfg_.max_pairs_per_var) {
-      // Mirror the post-mortem early return: the budget-overflow pair is
-      // dropped and the variable is never processed again, so its frontier
-      // state can be reclaimed immediately.
-      meta.saturated = true;
-      vars_.erase(var);
-      return;
-    }
-    ++meta.pairs;
-    if (!rec->stamp.has_clock()) {
-      // True concurrency: this record may matter downstream, so it earns a
-      // full (interned, shared) clock.  Non-racy records — the overwhelming
-      // majority — stay epoch-only forever.
-      rec->stamp = Stamp::interned(view, ClockArena::global());
-      ++promotions_;
-    }
-    if (hits) hits->push_back(PairHit{cand, rec});
-  }
-
-  // Advance this thread's frontier.
-  ThreadFrontier& mine = vf.threads[rec->tid];
-  bool replaced = false;
-  for (auto& k : mine.keyed) {
-    if (same_class(*k, *rec)) {
-      k = rec;
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) mine.keyed.push_back(rec);
-  if (mine.recent.size() < kFrontierHistory) {
-    mine.recent.push_back(std::move(rec));
-  } else {
-    mine.recent[mine.recent_next] = std::move(rec);
-    mine.recent_next = (mine.recent_next + 1) % kFrontierHistory;
+  const std::size_t hits_before = meta.epoch_hits;
+  const bool more = vars_[var].sweep(
+      Records{}, incoming, [&view](trace::Tid t) { return view.get(t); },
+      cfg_, &meta, [&](const Records::Ref& earlier, trace::Tid) {
+        if (hits) hits->push_back(PairHit{earlier, incoming});
+      });
+  epoch_hits_ += meta.epoch_hits - hits_before;
+  if (!more) {
+    // Mirror the post-mortem early return: the budget-overflow pair is
+    // dropped and the variable is never processed again, so its frontier
+    // state can be reclaimed immediately.
+    meta.saturated = true;
+    vars_.erase(var);
   }
 }
 
 std::size_t IncrementalFrontier::retire(const VectorClock& watermark) {
   std::size_t reclaimed = 0;
-  auto dominated = [&watermark](const std::shared_ptr<const OnlineAccess>& r) {
+  auto dominated = [&watermark](const Records::Ref& r) {
     return r->stamp.leq(watermark);
   };
-  vars_.erase_if([&](trace::ObjId, VarFrontier& vf) {
-    for (auto tit = vf.threads.begin(); tit != vf.threads.end();) {
-      ThreadFrontier& tf = tit->second;
-      const std::size_t before = tf.keyed.size() + tf.recent.size();
-      tf.keyed.erase(std::remove_if(tf.keyed.begin(), tf.keyed.end(), dominated),
-                     tf.keyed.end());
-      const std::size_t recent_before = tf.recent.size();
-      tf.recent.erase(
-          std::remove_if(tf.recent.begin(), tf.recent.end(), dominated),
-          tf.recent.end());
-      if (tf.recent.size() != recent_before) {
-        // Survivors back to seq order with the overwrite cursor at the
-        // oldest slot: the ring keeps holding the most recent accesses in
-        // cyclic order, exactly like the post-mortem ring minus the retired
-        // (forever HB-ordered) entries.
-        std::sort(tf.recent.begin(), tf.recent.end(),
-                  [](const auto& a, const auto& b) { return a->seq < b->seq; });
-        tf.recent_next = 0;
-      }
-      reclaimed += before - (tf.keyed.size() + tf.recent.size());
-      if (tf.keyed.empty() && tf.recent.empty()) {
-        tit = vf.threads.erase(tit);
-      } else {
-        ++tit;
-      }
-    }
-    return vf.threads.empty();
+  vars_.erase_if([&](trace::ObjId, AccessFrontier<Records>& frontier) {
+    reclaimed += frontier.retire(dominated);
+    return frontier.empty();
   });
   return reclaimed;
 }
@@ -363,23 +259,8 @@ bool IncrementalFrontier::concurrent(trace::ObjId var) const {
 
 std::size_t IncrementalFrontier::resident_records() const {
   std::size_t n = 0;
-  vars_.for_each([&n](trace::ObjId, const VarFrontier& vf) {
-    for (const auto& [tid, tf] : vf.threads) {
-      (void)tid;
-      n += tf.keyed.size() + tf.recent.size();
-    }
-  });
-  return n;
-}
-
-std::size_t IncrementalFrontier::resident_clock_bytes() const {
-  std::size_t n = 0;
-  vars_.for_each([&n](trace::ObjId, const VarFrontier& vf) {
-    for (const auto& [tid, tf] : vf.threads) {
-      (void)tid;
-      for (const auto& r : tf.keyed) n += r->stamp.clock_bytes();
-      for (const auto& r : tf.recent) n += r->stamp.clock_bytes();
-    }
+  vars_.for_each([&n](trace::ObjId, const AccessFrontier<Records>& frontier) {
+    n += frontier.retained();
   });
   return n;
 }

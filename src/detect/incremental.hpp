@@ -16,14 +16,14 @@
 //     yields the retirement watermark below.
 //
 //   * IncrementalFrontier — the streaming form of frontier_sweep_variable:
-//     per-variable, per-thread frontiers of maximal (kind, lockset) classes
-//     plus the recent-access ring, fed one access at a time.  New racy pairs
-//     are surfaced immediately instead of collected in a verdict.
+//     the same AccessFrontier (frontier.hpp) per variable, fed one access
+//     at a time.  New racy pairs are surfaced immediately instead of
+//     collected in a verdict.
 //
 // Stamps: advance() returns an allocation-free StampView (epoch + clock
-// span); each *retained* record keeps a 16-byte epoch and promotes to an
-// interned full clock only on true concurrency.  All retained-vs-incoming
-// and retained-vs-watermark checks are epoch-exact (see stamp.hpp).
+// span); each *retained* record keeps its 16-byte epoch and nothing else.
+// All retained-vs-incoming and retained-vs-watermark checks are
+// epoch-exact (see stamp.hpp).
 //
 // Epoch-based retirement: a retained record with stamp V can never race any
 // future event once every thread that may still emit has a clock >= V —
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "src/detect/flat_map.hpp"
+#include "src/detect/frontier.hpp"
 #include "src/detect/happens_before.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/detect/stamp.hpp"
@@ -69,9 +70,8 @@ namespace home::detect {
 
 /// One access retained by the streaming frontier: the slice of the original
 /// Event the race predicate and the violation matcher need, plus the HB
-/// stamp (an epoch, promoted to a full clock on concurrency), plus the
-/// aux-linked MPI call event (shared so the record can outlive the
-/// analyzer's call table).
+/// epoch, plus the aux-linked MPI call event (shared so the record can
+/// outlive the analyzer's call table).
 struct OnlineAccess {
   trace::Seq seq = 0;
   trace::Tid tid = trace::kNoTid;
@@ -80,12 +80,6 @@ struct OnlineAccess {
   Stamp stamp;
   std::shared_ptr<const trace::Event> call;  ///< may be null (unlinked access).
 };
-
-/// The pairwise racy-access predicate over a retained record `a` and the
-/// *incoming* record `b` whose stamp view is `bv` (b was stamped at-or-after
-/// a, which makes the epoch test exact; see stamp.hpp).
-bool online_accesses_racy(DetectorMode mode, const OnlineAccess& a,
-                          const OnlineAccess& b, const StampView& bv);
 
 class IncrementalHb {
  public:
@@ -161,10 +155,8 @@ class IncrementalHb {
 };
 
 /// Per-variable verdict metadata that must survive frontier retirement (the
-/// verdict and the pair budget are cumulative over the whole run).
-struct VarMeta {
-  bool concurrent = false;
-  std::size_t pairs = 0;
+/// verdict, the pair budget and the tallies are cumulative over the run).
+struct VarMeta : SweepTally {
   /// Pair budget spent: the post-mortem sweep stops processing the variable
   /// entirely at this point, so the streaming engine does too.
   bool saturated = false;
@@ -182,10 +174,9 @@ class IncrementalFrontier {
 
   /// Feed one access of `var` (records must arrive in seq order across the
   /// whole stream).  `view` is the access's stamp view from the same
-  /// advance() call; on_access fills rec->stamp with a 16-byte epoch that
-  /// is promoted to an interned full clock the first time the record proves
-  /// racy.  New racy pairs are appended to `hits` in the same order the
-  /// post-mortem frontier sweep reports them.
+  /// advance() call; on_access fills rec->stamp with its 16-byte epoch.  New
+  /// racy pairs are appended to `hits` in the same order the post-mortem
+  /// frontier sweep reports them.
   void on_access(trace::ObjId var, std::shared_ptr<OnlineAccess> rec,
                  const StampView& view, std::vector<PairHit>* hits);
 
@@ -200,32 +191,25 @@ class IncrementalFrontier {
   /// Access records currently resident across all variables.
   std::size_t resident_records() const;
 
-  /// Heap bytes pinned by resident records' clock payloads (epoch-only
-  /// records pin none; a shared interned clock is charged to every holder).
-  std::size_t resident_clock_bytes() const;
-
-  /// Cumulative clock-engine tallies, kept thread-local to the analysis
-  /// loop; the analyzer folds deltas into obs::Registry at checkpoints.
+  /// Cumulative HB tests answered by the epoch compare, kept thread-local
+  /// to the analysis loop; the analyzer folds deltas into obs::Registry at
+  /// checkpoints.
   std::size_t epoch_hits() const { return epoch_hits_; }
-  std::size_t epoch_promotions() const { return promotions_; }
 
  private:
-  struct ThreadFrontier {
-    std::vector<std::shared_ptr<const OnlineAccess>> keyed;
-    std::vector<std::shared_ptr<const OnlineAccess>> recent;
-    std::size_t recent_next = 0;
-  };
-  struct VarFrontier {
-    /// tid-ordered so candidate gathering stays deterministic.
-    std::map<trace::Tid, ThreadFrontier> threads;
+  /// The streaming access store: shared records, ordered by seq.
+  struct Records {
+    using Ref = std::shared_ptr<const OnlineAccess>;
+    static AccessFacts facts(const Ref& r) {
+      return AccessFacts{r->tid, r->write, &r->locks, r->stamp.value()};
+    }
+    static std::uint64_t order(const Ref& r) { return r->seq; }
   };
 
   RaceDetectorConfig cfg_;
-  FlatMap<VarFrontier> vars_;
+  FlatMap<AccessFrontier<Records>> vars_;
   std::map<trace::ObjId, VarMeta> meta_;
-  std::vector<std::shared_ptr<const OnlineAccess>> candidates_;  ///< scratch.
-  std::size_t epoch_hits_ = 0;  ///< checks answered on the O(1) epoch path.
-  std::size_t promotions_ = 0;  ///< records promoted epoch -> full clock.
+  std::size_t epoch_hits_ = 0;
 };
 
 }  // namespace home::detect

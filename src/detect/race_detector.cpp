@@ -61,38 +61,17 @@ std::string ConcurrencyReport::summary() const {
   return os.str();
 }
 
-bool accesses_racy_ordered(DetectorMode mode, const HbIndex& hb, std::size_t j,
-                           std::size_t i, std::size_t* epoch_hits) {
-  const trace::Event& ej = hb.events()[j];
-  const trace::Event& ei = hb.events()[i];
-  if (ej.tid == ei.tid) return false;
-  if (!ej.is_write() && !ei.is_write()) return false;
-  if (mode == DetectorMode::kLocksetOnly) {
-    return trace::locksets_disjoint(ej.locks_held, ei.locks_held);
-  }
-  // One component read each instead of two full-clock scans (header).
-  const bool unordered = hb.stamp_get(j, ej.tid) > hb.stamp_get(i, ej.tid);
-  if (epoch_hits != nullptr) ++*epoch_hits;
-  switch (mode) {
-    case DetectorMode::kHybrid:
-      return unordered &&
-             trace::locksets_disjoint(ej.locks_held, ei.locks_held);
-    case DetectorMode::kHbOnly:
-      return unordered;
-    case DetectorMode::kLocksetOnly:
-      break;  // handled above.
-  }
-  return false;
+HappensBeforeConfig happens_before_config(DetectorMode mode) {
+  HappensBeforeConfig cfg;
+  cfg.lock_edges = (mode == DetectorMode::kHbOnly);
+  return cfg;
 }
 
 ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const {
-  // The HB pass: hybrid and lockset modes use strong edges only; the pure-HB
-  // ablation additionally treats release->acquire as ordering.
-  HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg_.mode == DetectorMode::kHbOnly);
   HbIndex hb = [&] {
     obs::Span span("detect.hb");
-    return HappensBeforeAnalysis(hb_cfg).run(std::move(events));
+    return HappensBeforeAnalysis(happens_before_config(cfg_.mode))
+        .run(std::move(events));
   }();
 
   obs::Span sweep_span("detect.sweep");

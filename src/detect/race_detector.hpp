@@ -110,15 +110,10 @@ class RaceDetector {
   RaceDetectorConfig cfg_;
 };
 
-/// The racy-access predicate for a seq-ordered pair (`j` strictly before
-/// `i`): different threads, at least one write, then the mode's concurrency
-/// test.  The HB test is the O(1) epoch comparison stamp_j[tid_j] vs
-/// stamp_i[tid_j]: for a cross-thread ordered pair, i <= j is impossible
-/// (i's own component already exceeds j's view of it) and j <= i reduces to
-/// the epoch test, because j's stamp only propagates as a whole along sync
-/// edges after j's own bump.  `epoch_hits`, when non-null, counts checks
-/// answered on that path.
-bool accesses_racy_ordered(DetectorMode mode, const HbIndex& hb, std::size_t j,
-                           std::size_t i, std::size_t* epoch_hits);
+/// The HB edges a detector mode sees: hybrid and lockset-only use strong
+/// edges only; the pure-HB ablation also orders release->acquire.  Every
+/// engine that replays HB for a mode (post-mortem, streaming, certificates)
+/// takes its config from here.
+HappensBeforeConfig happens_before_config(DetectorMode mode);
 
 }  // namespace home::detect

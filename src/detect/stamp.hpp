@@ -1,5 +1,5 @@
-// Adaptive HB stamps (ISSUE-6 tentpole): the FastTrack-style representation
-// that makes the clock engine O(1) on the totally-ordered common case.
+// Epoch stamps: the FastTrack-style representation that makes the clock
+// engine O(1) on the totally-ordered common case.
 //
 // Every event stamp has two faces:
 //
@@ -9,10 +9,8 @@
 //     next advance() call; comparisons against retained state use it while
 //     the clock is current.
 //
-//   * Stamp — the *retained* face: always carries the epoch, optionally a
-//     full immutable clock (ClockRef).  Records retain the 16-byte epoch
-//     only and promote to an interned full clock the first time they
-//     participate in true concurrency.
+//   * Stamp — the *retained* face: the 16-byte epoch alone.  Streaming
+//     frontier records and matcher calls keep nothing else.
 //
 // Why the epoch is enough (the FastTrack lemma, which holds here because
 // IncrementalHb bumps the issuing thread's component at *every* event and
@@ -28,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/detect/clock_arena.hpp"
 #include "src/detect/vector_clock.hpp"
 #include "src/trace/event.hpp"
 
@@ -53,68 +50,33 @@ struct StampView {
   }
 };
 
+/// A retained epoch: the issuing thread and its own component.
 class Stamp {
  public:
   Stamp() = default;
 
-  /// Epoch-only retention: 16 bytes, no clock payload.
-  static Stamp epoch(const StampView& v) { return Stamp(v.tid, v.value, nullptr); }
-
-  /// Shared interned full clock (epoch-engine promotion on concurrency).
-  static Stamp interned(const StampView& v, ClockArena& arena) {
-    return Stamp(v.tid, v.value, arena.intern(v.clock, v.size));
-  }
+  static Stamp epoch(const StampView& v) { return Stamp(v.tid, v.value); }
 
   trace::Tid tid() const { return tid_; }
   std::uint64_t value() const { return value_; }
-  bool has_clock() const { return clock_ != nullptr; }
-  const ClockRef& clock() const { return clock_; }
 
   /// this-event happens-before-or-equals the event `later` was stamped at.
-  /// Exact for epoch-only stamps when `later` is stamped at-or-after this
-  /// stamp's creation (the lemma above); full stamps compare pointwise.
+  /// Exact when `later` is stamped at-or-after this stamp's creation (the
+  /// lemma above).
   bool leq_later(const StampView& later) const {
-    if (clock_ == nullptr) return value_ <= later.get(tid_);
-    const std::size_t n = clock_->size();
-    const std::uint64_t* a = clock_->data();
-    std::uint64_t gt = 0;
-    for (std::size_t i = 0; i < n && i < later.size; ++i) {
-      gt |= static_cast<std::uint64_t>(a[i] > later.clock[i]);
-    }
-    for (std::size_t i = later.size; i < n; ++i) {
-      gt |= static_cast<std::uint64_t>(a[i] != 0);
-    }
-    return gt == 0;
+    return value_ <= later.get(tid_);
   }
 
   /// this-event's full stamp <= `clock` pointwise, where `clock` is a meet
-  /// of live thread clocks (the retirement watermark).  Exact for epochs:
-  /// v <= meet[t] iff every live thread's clock dominates the full stamp.
-  bool leq(const VectorClock& clock) const {
-    if (clock_ == nullptr) return value_ <= clock.get(tid_);
-    const std::size_t n = clock_->size();
-    const std::uint64_t* a = clock_->data();
-    std::uint64_t gt = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      gt |= static_cast<std::uint64_t>(a[i] >
-                                       clock.get(static_cast<trace::Tid>(i)));
-    }
-    return gt == 0;
-  }
-
-  /// Heap bytes this stamp pins for clock payload (0 when epoch-only; a
-  /// shared interned clock is charged to every holder — an upper bound).
-  std::size_t clock_bytes() const {
-    return clock_ == nullptr ? 0 : clock_->bytes();
-  }
+  /// of live thread clocks (the retirement watermark): v <= meet[t] iff
+  /// every live thread's clock dominates the full stamp.
+  bool leq(const VectorClock& clock) const { return value_ <= clock.get(tid_); }
 
  private:
-  Stamp(trace::Tid t, std::uint64_t v, ClockRef c)
-      : tid_(t), value_(v), clock_(std::move(c)) {}
+  Stamp(trace::Tid t, std::uint64_t v) : tid_(t), value_(v) {}
 
   trace::Tid tid_ = trace::kNoTid;
   std::uint64_t value_ = 0;
-  ClockRef clock_;  ///< null => epoch-only.
 };
 
 }  // namespace home::detect

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <unordered_map>
+#include <utility>
 
 namespace home::diagnose {
 
@@ -50,6 +51,7 @@ SyncGraph::SyncGraph(const detect::HbIndex& hb,
     std::uint32_t pos;   // in-thread position of the arrival.
   };
   std::vector<Arrival> barrier_arrivals;
+  barrier_arrivals.reserve(hb.sync_events().size());
 
   for (const detect::HbIndex::SyncEvent& e : hb.sync_events()) {
     const std::uint32_t i = e.idx;
@@ -144,37 +146,46 @@ SyncGraph::SyncGraph(const detect::HbIndex& hb,
     std::sort(barrier_arrivals.begin(), barrier_arrivals.end(),
               arrival_before);
   }
-  std::vector<std::uint32_t> succ;  // per participant of one instance.
+  // Completed instances, as [lo, hi) runs of the arrivals, are found first
+  // so their fan-out edges are reserved in one allocation.
+  std::vector<std::pair<std::size_t, std::size_t>> instances;
+  std::size_t fanout = 0;
   for (std::size_t lo = 0; lo < barrier_arrivals.size();) {
     const trace::ObjId obj = barrier_arrivals[lo].obj;
-    const std::uint32_t size = barrier_arrivals[lo].size;
+    const std::size_t size = barrier_arrivals[lo].size;
     std::size_t hi = lo;
     while (hi < barrier_arrivals.size() && barrier_arrivals[hi].obj == obj &&
            hi - lo < size) {
       ++hi;
     }
-    if (size > 0 && hi - lo == size) {  // completed instance.
-      const std::uint32_t completed = barrier_arrivals[hi - 1].idx;
-      succ.clear();
-      for (std::size_t b = lo; b < hi; ++b) {
-        const std::vector<std::uint32_t>& theirs =
-            hb.events_of(barrier_arrivals[b].tid);
-        const std::size_t p = barrier_arrivals[b].pos + 1;
-        std::uint32_t next = p < theirs.size() ? theirs[p] : kNone32;
-        if (next != kNone32 && next < completed) {
-          next = first_after(theirs, completed);
-        }
-        succ.push_back(next);
-      }
-      for (std::size_t a = lo; a < hi; ++a) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          if (a == b || succ[b - lo] == kNone32) continue;
-          edges_.push_back(
-              Edge{barrier_arrivals[a].idx, succ[b - lo], EdgeKind::kBarrier});
-        }
-      }
+    if (size > 0 && hi - lo == size) {
+      instances.emplace_back(lo, hi);
+      fanout += size * (size - 1);
     }
     lo = hi == lo ? lo + 1 : hi;
+  }
+  edges_.reserve(edges_.size() + fanout);
+  std::vector<std::uint32_t> succ;  // per participant of one instance.
+  for (const auto& [lo, hi] : instances) {
+    const std::uint32_t completed = barrier_arrivals[hi - 1].idx;
+    succ.clear();
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::vector<std::uint32_t>& theirs =
+          hb.events_of(barrier_arrivals[b].tid);
+      const std::size_t p = barrier_arrivals[b].pos + 1;
+      std::uint32_t next = p < theirs.size() ? theirs[p] : kNone32;
+      if (next != kNone32 && next < completed) {
+        next = first_after(theirs, completed);
+      }
+      succ.push_back(next);
+    }
+    for (std::size_t a = lo; a < hi; ++a) {
+      for (std::size_t b = lo; b < hi; ++b) {
+        if (a == b || succ[b - lo] == kNone32) continue;
+        edges_.push_back(
+            Edge{barrier_arrivals[a].idx, succ[b - lo], EdgeKind::kBarrier});
+      }
+    }
   }
 
   // Finalize the adjacency: the (sparse) sync edges must be grouped by

@@ -36,26 +36,31 @@ CheckResult check_program(const CheckConfig& cfg,
   return result;
 }
 
-Report analyze_trace(const trace::LoadedTrace& loaded, const SessionConfig& cfg) {
-  detect::ConcurrencyReport concurrency =
-      detect::RaceDetector(make_detector_config(cfg)).analyze(loaded.events);
-
-  // Rebuild the string table so callsite ids resolve like in the live run.
-  trace::StringTable strings;
-  for (const std::string& s : loaded.strings) strings.intern(s);
-
-  spec::Matcher matcher(&strings);
-  std::vector<spec::Violation> violations = matcher.match(concurrency);
-
+PostMortem analyze_events(std::vector<trace::Event> events,
+                          const trace::StringTable* strings,
+                          const detect::RaceDetectorConfig& cfg) {
   ReportStats stats;
-  stats.trace_events = loaded.events.size();
+  stats.trace_events = events.size();
+  detect::ConcurrencyReport concurrency =
+      detect::RaceDetector(cfg).analyze(std::move(events));
+  std::vector<spec::Violation> violations =
+      spec::Matcher(strings).match(concurrency);
   for (const auto& [var, verdict] : concurrency.verdicts()) {
     if (!spec::is_monitored_var(var)) continue;
     ++stats.monitored_variables;
     if (verdict.concurrent) ++stats.concurrent_variables;
     stats.concurrent_pairs += verdict.pairs.size();
   }
-  return Report(std::move(violations), stats);
+  return PostMortem{std::move(concurrency), std::move(violations), stats};
+}
+
+Report analyze_trace(const trace::LoadedTrace& loaded, const SessionConfig& cfg) {
+  // Rebuild the string table so callsite ids resolve like in the live run.
+  trace::StringTable strings;
+  for (const std::string& s : loaded.strings) strings.intern(s);
+  PostMortem pm =
+      analyze_events(loaded.events, &strings, make_detector_config(cfg));
+  return Report(std::move(pm.violations), pm.stats);
 }
 
 Report analyze_trace_file(const std::string& path, const SessionConfig& cfg) {

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
+#include "src/detect/race_detector.hpp"
 #include "src/home/report.hpp"
 #include "src/home/session.hpp"
 #include "src/simmpi/universe.hpp"
@@ -39,6 +41,22 @@ struct CheckResult {
 /// Run `rank_main` on nranks rank-threads under full HOME checking.
 CheckResult check_program(const CheckConfig& cfg,
                           const std::function<void(simmpi::Process&)>& rank_main);
+
+/// One post-mortem pass: the concurrency report, the matched violations,
+/// and the report statistics it determines (trace_events and the
+/// monitored-variable tallies; callers add their run counters and timing).
+struct PostMortem {
+  detect::ConcurrencyReport concurrency;
+  std::vector<spec::Violation> violations;
+  ReportStats stats;
+};
+
+/// The post-mortem pipeline every analysis path runs: detect over the
+/// seq-sorted `events`, then match the thread-safety spec (`strings`
+/// resolves callsite labels).
+PostMortem analyze_events(std::vector<trace::Event> events,
+                          const trace::StringTable* strings,
+                          const detect::RaceDetectorConfig& cfg);
 
 /// Offline mode: run the detection + matching pipeline over a previously
 /// saved execution log (Session::save_trace / trace::load_trace_file).

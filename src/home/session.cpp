@@ -4,29 +4,21 @@
 #include <sstream>
 #include <string>
 
+#include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/span.hpp"
-#include "src/spec/matcher.hpp"
-#include "src/spec/monitored.hpp"
 #include "src/trace/trace_io.hpp"
 #include "src/util/stats.hpp"
 
 namespace home {
 
 detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg) {
-  detect::RaceDetectorConfig dcfg;
-  dcfg.mode = cfg.detector;
-  dcfg.max_pairs_per_var = cfg.max_pairs_per_var;
-  return dcfg;
+  return {.mode = cfg.detector, .max_pairs_per_var = cfg.max_pairs_per_var};
 }
 
 detect::HappensBeforeConfig diagnose_hb_config(const SessionConfig& cfg) {
-  // Mirrors RaceDetector::analyze: only the pure-HB ablation treats
-  // release->acquire as an ordering edge.
-  detect::HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg.detector == detect::DetectorMode::kHbOnly);
-  return hb_cfg;
+  return detect::happens_before_config(cfg.detector);
 }
 
 Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
@@ -168,34 +160,24 @@ Report Session::analyze() {
   obs::Span span("session.analyze");
   util::Stopwatch timer;
 
-  detect::RaceDetector detector(make_detector_config(cfg_));
-  detect::ConcurrencyReport concurrency = detector.analyze(log_.sorted_events());
-
-  spec::Matcher matcher(&log_.strings());
-  std::vector<spec::Violation> violations = matcher.match(concurrency);
-  mark_violations(violations);
+  PostMortem pm = analyze_events(log_.sorted_events(), &log_.strings(),
+                                 make_detector_config(cfg_));
+  mark_violations(pm.violations);
 
   if (cfg_.diagnose.enabled) {
     const explore::Schedule schedule = recorded_schedule();
     provenance_ = diagnose::diagnose_violations(
-        concurrency.hb(), violations, &log_.strings(),
+        pm.concurrency.hb(), pm.violations, &log_.strings(),
         diagnose_hb_config(cfg_), cfg_.diagnose,
         explorer_ ? &schedule : nullptr);
   }
 
-  ReportStats stats;
-  stats.trace_events = log_.size();
+  ReportStats stats = pm.stats;
   stats.instrumented_calls = wrappers_->instrumented_calls();
   stats.skipped_calls = wrappers_->skipped_calls();
-  for (const auto& [var, verdict] : concurrency.verdicts()) {
-    if (!spec::is_monitored_var(var)) continue;
-    ++stats.monitored_variables;
-    if (verdict.concurrent) ++stats.concurrent_variables;
-    stats.concurrent_pairs += verdict.pairs.size();
-  }
   stats.analysis_seconds = timer.elapsed_seconds();
 
-  return Report(std::move(violations), stats);
+  return Report(std::move(pm.violations), stats);
 }
 
 namespace {
@@ -240,11 +222,8 @@ Report Session::analyze_online() {
   // retained trace holds the shed events and the pass over it is exact.
   if ((cfg_.online.reconcile || cfg_.diagnose.enabled || !shed.empty()) &&
       cfg_.online.retain_trace) {
-    detect::RaceDetector detector(make_detector_config(cfg_));
-    detect::ConcurrencyReport concurrency =
-        detector.analyze(log_.sorted_events());
-    spec::Matcher matcher(&log_.strings());
-    std::vector<spec::Violation> post_mortem = matcher.match(concurrency);
+    PostMortem post_mortem = analyze_events(
+        log_.sorted_events(), &log_.strings(), make_detector_config(cfg_));
 
     if (cfg_.online.reconcile) {
       // Cross-check: the post-mortem pipeline over the very same trace must
@@ -254,7 +233,7 @@ Report Session::analyze_online() {
         online_keys.insert(spec::violation_key(v));
       }
       std::set<std::string> post_keys;
-      for (const spec::Violation& v : post_mortem) {
+      for (const spec::Violation& v : post_mortem.violations) {
         post_keys.insert(spec::violation_key(v));
       }
       reconciliation_ = Reconciliation{};
@@ -277,7 +256,7 @@ Report Session::analyze_online() {
       // the certificates anchor to.
       const explore::Schedule schedule = recorded_schedule();
       provenance_ = diagnose::diagnose_violations(
-          concurrency.hb(), post_mortem, &log_.strings(),
+          post_mortem.concurrency.hb(), post_mortem.violations, &log_.strings(),
           diagnose_hb_config(cfg_), cfg_.diagnose,
           explorer_ ? &schedule : nullptr);
     }
@@ -288,7 +267,7 @@ Report Session::analyze_online() {
       // the report stays kExact.  (Reconciliation above intentionally
       // compared the *online* list; its post_mortem_only entries show what
       // shedding cost the streaming engine.)
-      violations = std::move(post_mortem);
+      violations = std::move(post_mortem.violations);
     }
   } else if (!shed.empty() && wal_) {
     // No retained trace, but the write-ahead copy has every emitted event,
@@ -297,12 +276,7 @@ Report Session::analyze_online() {
     trace::WalSalvage salvage;
     const trace::LoadedTrace loaded =
         trace::salvage_wal_file(wal_->path(), &salvage);
-    detect::RaceDetector detector(make_detector_config(cfg_));
-    detect::ConcurrencyReport concurrency = detector.analyze(loaded.events);
-    trace::StringTable strings;
-    for (const std::string& s : loaded.strings) strings.intern(s);
-    spec::Matcher matcher(&strings);
-    violations = matcher.match(concurrency);
+    violations = analyze_trace(loaded, cfg_).violations();
     if (!salvage.clean()) {
       std::ostringstream reason;
       reason << "online " << shed_summary(shed)

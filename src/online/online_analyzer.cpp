@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/detect/clock_arena.hpp"
 #include "src/faults/injector.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
@@ -31,8 +30,6 @@ struct AnalyzerMetrics {
   // checkpoints, never per comparison.
   obs::Counter& epoch_hits =
       obs::Registry::global().counter("clock.epoch_hits");
-  obs::Counter& promotions =
-      obs::Registry::global().counter("clock.epoch_promotions");
   obs::Gauge& clock_bytes =
       obs::Registry::global().gauge("clock.resident_bytes");
 };
@@ -40,15 +37,6 @@ struct AnalyzerMetrics {
 AnalyzerMetrics& analyzer_metrics() {
   static AnalyzerMetrics m;
   return m;
-}
-
-detect::HappensBeforeConfig hb_config_for(const detect::RaceDetectorConfig& d) {
-  // Mirror RaceDetector::analyze: lock edges only under the pure-HB
-  // ablation; message edges always modeled (emission is gated upstream).
-  detect::HappensBeforeConfig hb;
-  hb.lock_edges = (d.mode == detect::DetectorMode::kHbOnly);
-  hb.message_edges = true;
-  return hb;
 }
 
 }  // namespace
@@ -60,7 +48,7 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
       registry_(registry),
       queue_(cfg_.queue_capacity, cfg_.backpressure),
       stream_(cfg_.stream),
-      hb_(hb_config_for(cfg_.detector)),
+      hb_(detect::happens_before_config(cfg_.detector.mode)),
       frontier_(cfg_.detector),
       matcher_(strings,
                [this](spec::Violation&& v) { stream_.offer(std::move(v)); }) {
@@ -144,7 +132,7 @@ void OnlineAnalyzer::process(const trace::Event& e) {
       if (it != calls_pending_.end()) rec->call = it->second;
     }
     hits_.clear();
-    // The frontier fills rec->stamp (an epoch, promoted on concurrency).
+    // The frontier fills rec->stamp with the access's epoch.
     frontier_.on_access(e.obj, std::move(rec), stamp, &hits_);
     if (!hits_.empty() && spec::is_monitored_var(e.obj)) {
       for (const auto& hit : hits_) {
@@ -195,9 +183,6 @@ void OnlineAnalyzer::checkpoint() {
   const std::size_t reclaimed = frontier_.retire(watermark);
   hb_.retire(watermark);
   matcher_.retire(watermark);
-  // Retired records were the last holders of most interned clocks; drop the
-  // arena's now-unshared entries so its footprint tracks the working set.
-  detect::ClockArena::global().compact();
   analyzer_metrics().epochs.add(1);
   analyzer_metrics().records.add(reclaimed);
   {
@@ -209,12 +194,10 @@ void OnlineAnalyzer::checkpoint() {
 
 void OnlineAnalyzer::fold_clock_counters() {
   const std::size_t hits = frontier_.epoch_hits();
-  const std::size_t promos = frontier_.epoch_promotions();
-  AnalyzerMetrics& m = analyzer_metrics();
-  if (hits > folded_epoch_hits_) m.epoch_hits.add(hits - folded_epoch_hits_);
-  if (promos > folded_promotions_) m.promotions.add(promos - folded_promotions_);
+  if (hits > folded_epoch_hits_) {
+    analyzer_metrics().epoch_hits.add(hits - folded_epoch_hits_);
+  }
   folded_epoch_hits_ = hits;
-  folded_promotions_ = promos;
 }
 
 void OnlineAnalyzer::finish() {
@@ -232,7 +215,6 @@ void OnlineAnalyzer::finish() {
   stats_.final_clock_bytes = clock_bytes;
   stats_.peak_clock_bytes = std::max(stats_.peak_clock_bytes, clock_bytes);
   stats_.epoch_hits = frontier_.epoch_hits();
-  stats_.epoch_promotions = frontier_.epoch_promotions();
   for (const auto& [var, meta] : frontier_.meta()) {
     if (!spec::is_monitored_var(var)) continue;
     ++stats_.monitored_variables;
@@ -279,8 +261,7 @@ std::size_t OnlineAnalyzer::resident_state() const {
 }
 
 std::size_t OnlineAnalyzer::resident_clock_bytes() const {
-  return frontier_.resident_clock_bytes() + hb_.resident_clock_bytes() +
-         matcher_.resident_clock_bytes();
+  return hb_.resident_clock_bytes();
 }
 
 }  // namespace home::online

@@ -86,16 +86,13 @@ struct OnlineStats {
   /// interval.
   std::size_t peak_resident = 0;
   std::size_t final_resident = 0;
-  /// Heap bytes pinned by retained clock payloads (frontier records +
-  /// matcher calls + thread/sync clocks), sampled like peak_resident.  The
-  /// headline metric of the epoch clock engine: epoch-only records pin no
-  /// clock bytes at all.
+  /// Heap bytes held by IncrementalHb's thread and sync clocks, sampled
+  /// like peak_resident.  Frontier records and matcher calls retain 16-byte
+  /// epochs only, so they pin no clock bytes at all.
   std::size_t peak_clock_bytes = 0;
   std::size_t final_clock_bytes = 0;
-  /// Clock-engine tallies: O(1)-path comparisons and records promoted to
-  /// full clocks on true concurrency.
+  /// HB tests the frontier answered by the O(1) epoch compare.
   std::size_t epoch_hits = 0;
-  std::size_t epoch_promotions = 0;
   std::size_t monitored_variables = 0;
   std::size_t concurrent_variables = 0;
   std::size_t concurrent_pairs = 0;
@@ -137,7 +134,8 @@ class OnlineAnalyzer : public trace::EventSink {
   /// benign race while the analysis thread runs).
   std::size_t resident_state() const;
 
-  /// Current heap bytes pinned by retained clocks (same caveat as above).
+  /// Current heap bytes held by IncrementalHb's clocks (same caveat as
+  /// above).
   std::size_t resident_clock_bytes() const;
 
  private:
@@ -167,7 +165,6 @@ class OnlineAnalyzer : public trace::EventSink {
   /// added at each checkpoint; the frontier keeps plain local counters so
   /// the hot loop never touches an atomic).
   std::size_t folded_epoch_hits_ = 0;
-  std::size_t folded_promotions_ = 0;
 
   mutable std::mutex stats_mu_;
   OnlineStats stats_;

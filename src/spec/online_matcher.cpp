@@ -159,14 +159,4 @@ std::size_t OnlineMatcher::resident_calls() const {
   return n;
 }
 
-std::size_t OnlineMatcher::resident_clock_bytes() const {
-  std::size_t n = 0;
-  for (const auto& [rank, rs] : ranks_) {
-    (void)rank;
-    for (const LiveCall& c : rs.live_calls) n += c.stamp.clock_bytes();
-    for (const LiveCall& c : rs.finalizes) n += c.stamp.clock_bytes();
-  }
-  return n;
-}
-
 }  // namespace home::spec

@@ -72,9 +72,6 @@ class OnlineMatcher {
   /// Retained call records (live calls + finalizes + pre-init buffer).
   std::size_t resident_calls() const;
 
-  /// Heap bytes pinned by retained call stamps (epoch-only stamps pin none).
-  std::size_t resident_clock_bytes() const;
-
   const MatcherStats& stats() const { return stats_; }
 
  private:

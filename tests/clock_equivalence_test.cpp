@@ -364,15 +364,16 @@ TEST_P(ClockEngineStreaming, StreamedPairsMatchAtEveryRetireCadence) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClockEngineStreaming, ::testing::Range(0, 24));
 
-TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
-  // A racy trace: promotions happen, but only for records that proved racy;
-  // epoch-path comparisons dominate.
+TEST(ClockEngineStreaming, RacyRecordsKeepTheirEpochs) {
+  // A racy trace: every record of a racy pair still holds its own epoch
+  // (nothing is promoted to a full clock), and the stream performs exactly
+  // the HB tests the post-mortem sweep does.
   const std::vector<Event> events = random_trace(7);
   RaceDetectorConfig cfg;
   cfg.analysis_threads = 1;
-  HappensBeforeConfig hb_cfg;
-  IncrementalHb hb(hb_cfg);
+  IncrementalHb hb(happens_before_config(cfg.mode));
   IncrementalFrontier frontier(cfg);
+  std::map<trace::Seq, std::uint64_t> own;  // each access's epoch value.
   std::vector<IncrementalFrontier::PairHit> hits;
   std::size_t pairs = 0;
   for (const Event& e : events) {
@@ -383,19 +384,25 @@ TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
     rec->tid = e.tid;
     rec->write = e.is_write();
     rec->locks = e.locks_held;
+    own[e.seq] = stamp.value;
     hits.clear();
     frontier.on_access(e.obj, std::move(rec), stamp, &hits);
     pairs += hits.size();
     for (const auto& hit : hits) {
-      // The incoming (younger) record of a racy pair is always promoted.
-      EXPECT_TRUE(hit.second->stamp.has_clock());
+      for (const OnlineAccess* r : {hit.first.get(), hit.second.get()}) {
+        EXPECT_EQ(r->stamp.tid(), r->tid);
+        EXPECT_EQ(r->stamp.value(), own.at(r->seq));
+      }
     }
   }
   ASSERT_GT(pairs, 0u) << "trace should be racy";
+  const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+  std::size_t post_mortem_hits = 0;
+  for (const auto& [var, verdict] : report.verdicts()) {
+    post_mortem_hits += verdict.epoch_hits;
+  }
   EXPECT_GT(frontier.epoch_hits(), 0u);
-  EXPECT_GT(frontier.epoch_promotions(), 0u);
-  // Promotions are bounded by racy records, never the whole stream.
-  EXPECT_LE(frontier.epoch_promotions(), pairs);
+  EXPECT_EQ(frontier.epoch_hits(), post_mortem_hits);
 }
 
 // ------------------------------------------ a joined thread id emits again
@@ -872,8 +879,8 @@ TEST(FlatMap, EraseIfMatchesStdMapSemantics) {
 
 TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
   // Build a real two-thread history through IncrementalHb and check the
-  // retained stamp's answers — epoch-only and promoted to an interned full
-  // clock — against the oracle's dense clocks for the same events.
+  // retained epoch's answers against the oracle's dense clocks for the
+  // same events.
   auto event = [](trace::Seq seq, trace::Tid tid, EventKind kind,
                   trace::ObjId obj) {
     Event e;
@@ -890,33 +897,26 @@ TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
       event(4, 1, EventKind::kMsgRecv, 7000),  // now ordered after event 1.
   };
   const oracle::Oracle reference(events, DetectorMode::kHybrid);
-  ClockArena arena;
   IncrementalHb hb;
   const StampView v1 = hb.advance(events[0]);
   const Stamp epoch = Stamp::epoch(v1);
-  const Stamp full = Stamp::interned(v1, arena);
   const VectorClock c1(v1.clock, v1.size);
   EXPECT_EQ(c1, reference.clock(0));
 
   const StampView v2 = hb.advance(events[1]);
   EXPECT_TRUE(reference.concurrent(0, 1));
   EXPECT_FALSE(epoch.leq_later(v2));
-  EXPECT_FALSE(full.leq_later(v2));
 
   hb.advance(events[2]);
   const StampView v4 = hb.advance(events[3]);
   EXPECT_TRUE(reference.ordered(0, 3));
   EXPECT_TRUE(epoch.leq_later(v4));
-  EXPECT_TRUE(full.leq_later(v4));
 
   // Watermark form: epoch vs the meet of both live clocks.
   VectorClock wm;
   ASSERT_TRUE(hb.watermark(&wm));
-  EXPECT_EQ(epoch.leq(wm), full.leq(wm));
+  EXPECT_EQ(epoch.leq(wm), reference.clock(0).leq(wm));
   EXPECT_EQ(epoch.leq(c1), true);  // its own clock dominates it.
-
-  EXPECT_EQ(epoch.clock_bytes(), 0u);
-  EXPECT_GT(full.clock_bytes(), 0u);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 //    around silent and joined threads,
 //  * IncrementalFrontier == frontier_sweep_variable pair-for-pair on seeded
 //    random traces, with epoch retirement interleaved at several cadences,
+//    and HB-test for HB-test without retirement,
 //  * OnlineAnalyzer bounded-memory: resident state stays under a fixed cap
-//    while streaming 10x the events a post-mortem run would buffer.
+//    while streaming 10x the events a post-mortem run would buffer, and a
+//    finished analyzer's clock bytes are IncrementalHb's alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/detect/clock_arena.hpp"
 #include "src/detect/frontier.hpp"
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
@@ -391,7 +394,8 @@ std::map<trace::ObjId, std::vector<SeqPair>> post_mortem_pairs(
 /// every `retire_every` events (0 = never), and collect pairs per variable.
 std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
     const std::vector<Event>& events, const RaceDetectorConfig& cfg,
-    std::size_t retire_every, std::size_t* resident_peak = nullptr) {
+    std::size_t retire_every, std::size_t* resident_peak = nullptr,
+    std::size_t* epoch_hits = nullptr) {
   detect::HappensBeforeConfig hb_cfg;
   hb_cfg.lock_edges = (cfg.mode == DetectorMode::kHbOnly);
   IncrementalHb hb(hb_cfg);
@@ -433,6 +437,7 @@ std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
     }
   }
   if (resident_peak != nullptr) *resident_peak = peak;
+  if (epoch_hits != nullptr) *epoch_hits = frontier.epoch_hits();
   return out;
 }
 
@@ -447,11 +452,25 @@ TEST_P(FrontierStreamEquivalence, PairsMatchPostMortemAtAnyRetireCadence) {
       cfg.mode = mode;
       cfg.max_pairs_per_var = cap;
       cfg.analysis_threads = 1;
-      const auto expected =
-          post_mortem_pairs(detect::RaceDetector(cfg).analyze(events));
+      const detect::ConcurrencyReport report =
+          detect::RaceDetector(cfg).analyze(events);
+      const auto expected = post_mortem_pairs(report);
+      std::size_t post_mortem_hits = 0;
+      for (const auto& [var, verdict] : report.verdicts()) {
+        post_mortem_hits += verdict.epoch_hits;
+      }
       for (const std::size_t cadence : {std::size_t{0}, std::size_t{7},
                                         std::size_t{64}}) {
-        const auto got = streamed_pairs(events, cfg, cadence);
+        std::size_t streamed_hits = 0;
+        const auto got =
+            streamed_pairs(events, cfg, cadence, nullptr, &streamed_hits);
+        // Both engines run one predicate over one candidate order, so
+        // without retirement they perform exactly the same HB tests.
+        if (cadence == 0) {
+          EXPECT_EQ(streamed_hits, post_mortem_hits)
+              << "mode=" << detect::detector_mode_name(mode) << " cap=" << cap
+              << " seed=" << seed;
+        }
         // Variables with no reported pairs may be absent on either side.
         for (const auto& [var, pairs] : expected) {
           auto it = got.find(var);
@@ -718,6 +737,51 @@ TEST(OnlineAnalyzer, DropNewestPolicyCountsDroppedEvents) {
   analyzer.finish();
   const OnlineStats stats = analyzer.stats();
   EXPECT_EQ(stats.events_processed + stats.events_dropped, kCount);
+}
+
+TEST(OnlineAnalyzer, RacyStreamPinsOnlyTheHbClocks) {
+  // Retained frontier records and matcher calls keep epochs only: streaming
+  // a racy trace must leave nothing in the global clock table once the
+  // analyzer is gone, and the analyzer's clock bytes must be exactly what
+  // its IncrementalHb holds at each checkpoint.
+  const std::vector<Event> events = random_trace(7);
+  RaceDetectorConfig dcfg;
+  dcfg.analysis_threads = 1;
+  ASSERT_GT(detect::RaceDetector(dcfg).analyze(events).total_pairs(), 0u)
+      << "trace should be racy";
+
+  for (const std::size_t interval : {std::size_t{0}, std::size_t{64}}) {
+    const std::size_t arena_before =
+        detect::ClockArena::global().resident_bytes();
+    OnlineConfig cfg;
+    cfg.detector = dcfg;
+    cfg.retire_interval = interval;
+    OnlineStats stats;
+    {
+      OnlineAnalyzer analyzer(cfg, nullptr, nullptr);
+      for (const Event& e : events) analyzer.on_event(e);
+      analyzer.finish();
+      stats = analyzer.stats();
+    }
+    EXPECT_EQ(detect::ClockArena::global().resident_bytes(), arena_before)
+        << "interval=" << interval;
+
+    // The IncrementalHb share, sampled where the analyzer samples: every
+    // checkpoint (before its retirement) and at finish.
+    IncrementalHb hb(detect::happens_before_config(dcfg.mode));
+    const std::size_t every = interval == 0 ? 1024 : interval;
+    std::size_t peak = 0;
+    for (std::size_t n = 1; n <= events.size(); ++n) {
+      hb.advance(events[n - 1]);
+      if (n % every != 0) continue;
+      peak = std::max(peak, hb.resident_clock_bytes());
+      VectorClock wm;
+      if (interval != 0 && hb.watermark(&wm)) hb.retire(wm);
+    }
+    peak = std::max(peak, hb.resident_clock_bytes());
+    EXPECT_GT(stats.epoch_hits, 0u);
+    EXPECT_EQ(stats.peak_clock_bytes, peak) << "interval=" << interval;
+  }
 }
 
 }  // namespace
