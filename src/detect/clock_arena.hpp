@@ -1,27 +1,11 @@
-// Interned, immutable, refcounted full vector clocks (ISSUE-6 tentpole).
+// Interned, immutable, refcounted full vector clocks (content-addressed
+// over the normalized clock; ClockRef is a shared_ptr; compact() drops
+// entries nothing else references; the table is sharded by content hash).
 //
-// The epoch clock engine keeps most stamps as 16-byte (tid, value) epochs;
-// the residue that does need a full clock — stamps promoted on true
-// concurrency — lives here as immutable `InternedClock`s shared by
-// refcount.  (Post-mortem HbIndex frames live in the index itself.)  Interning is content-addressed over
-// the *normalized* clock (trailing zeros stripped), so two stamps that are
-// equal as functions Tid -> value share one allocation regardless of how
-// much zero padding their producers carried.
-//
-// Lifetime: `ClockRef` is a shared_ptr, so a clock lives exactly as long as
-// some frontier record, matcher call, or sync-object entry references it.
-// The intern table itself holds one reference per distinct clock; compact()
-// drops table entries nothing else references (the online analyzer calls it
-// at every retirement checkpoint, so the table tracks the retained working
-// set instead of the whole history).
-//
-// Telemetry (DESIGN.md §10): `clock.arena.hits` / `clock.arena.misses`
-// (intern-table hit rate) and the `clock.arena.resident_bytes` gauge.
-//
-// Concurrency: the intern table is sharded by content hash (kShards
-// independent {mutex, table} pairs), so parallel analysis workers interning
-// different clocks contend only when they land in the same shard instead of
-// serializing on one global mutex.
+// Nothing in src/ calls this any more: retained stamps are epochs only
+// (src/detect/stamp.hpp) and post-mortem HbIndex frames live in the index
+// itself.  It stays only because perfbench/stages.cpp reads
+// `clock.arena_resident_bytes` (now always 0); delete it with that metric.
 #pragma once
 
 #include <array>

@@ -1,13 +1,13 @@
 #include "src/explore/guidance.hpp"
 
-#include <fstream>
-#include <sstream>
-
+#include "src/util/records.hpp"
 #include "src/util/rng.hpp"
 
 namespace home::explore {
 
 namespace {
+
+namespace records = util::records;
 
 constexpr const char* kHeader = "# home explore guidance v1";
 
@@ -39,77 +39,41 @@ bool StaticGuidance::is_ordered_pair(const std::string& a,
 }
 
 std::string StaticGuidance::to_string() const {
-  std::ostringstream os;
-  os << kHeader << "\n";
+  records::Writer w(kHeader);
   for (const AmbiguousSite& s : ambiguous) {
-    os << "site " << s.site << ' ' << s.alternatives << ' ' << s.occurrences
-       << ' ' << s.phase << "\n";
+    w.tag("site").str(s.site).num(s.alternatives, s.occurrences, s.phase);
   }
   for (const OrderedPair& p : ordered) {
-    os << "ordered " << p.before << ' ' << p.after << ' '
-       << (p.why.empty() ? "-" : p.why) << "\n";
+    w.tag("ordered").str(p.before).str(p.after).rest(p.why);
   }
   for (const auto& [phase, ambiguity] : phase_ambiguity) {
-    os << "phase " << phase << ' ' << ambiguity << "\n";
+    w.tag("phase").num(phase, ambiguity);
   }
-  return os.str();
+  return w.take();
 }
 
 bool StaticGuidance::parse(const std::string& text, StaticGuidance* out) {
   StaticGuidance parsed;
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      saw_header = true;
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string word;
-    ls >> word;
-    if (word == "site") {
-      AmbiguousSite s;
-      ls >> s.site >> s.alternatives >> s.occurrences >> s.phase;
-      if (ls.fail() || s.site.empty()) return false;
+  records::Reader r(text);
+  const bool ok = r.read(kHeader, [&](std::string_view tag) {
+    AmbiguousSite s;
+    OrderedPair p;
+    std::pair<int, std::size_t> phase;
+    if (tag == "site" && r.str(&s.site) &&
+        r.num(&s.alternatives, &s.occurrences, &s.phase)) {
       parsed.ambiguous.push_back(std::move(s));
-    } else if (word == "ordered") {
-      OrderedPair p;
-      ls >> p.before >> p.after;
-      if (ls.fail()) return false;
-      std::getline(ls, p.why);
-      while (!p.why.empty() && p.why.front() == ' ') p.why.erase(0, 1);
-      if (p.why == "-") p.why.clear();
+    } else if (tag == "ordered" && r.str(&p.before) && r.str(&p.after)) {
+      r.rest(&p.why);  // optional.
       parsed.ordered.push_back(std::move(p));
-    } else if (word == "phase") {
-      int phase = 0;
-      std::size_t ambiguity = 0;
-      ls >> phase >> ambiguity;
-      if (ls.fail()) return false;
-      parsed.phase_ambiguity.emplace_back(phase, ambiguity);
+    } else if (tag == "phase" && r.num(&phase.first, &phase.second)) {
+      parsed.phase_ambiguity.push_back(phase);
     } else {
       return false;
     }
-  }
-  if (!saw_header) return false;
-  *out = std::move(parsed);
-  return true;
-}
-
-bool StaticGuidance::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return false;
-  os << to_string();
-  return static_cast<bool>(os);
-}
-
-bool StaticGuidance::load(const std::string& path, StaticGuidance* out) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), out);
+    return true;
+  });
+  if (ok) *out = std::move(parsed);
+  return ok;
 }
 
 std::size_t guided_pick_value(std::uint64_t seed, const std::string& site,

@@ -1,5 +1,5 @@
-// Static exploration guidance (ISSUE-8 tentpole): the artifact the static
-// communication analysis (src/sast/commstat) hands to the dynamic explorer.
+// Static exploration guidance: the artifact the static communication
+// analysis (src/sast/commstat) hands to the dynamic explorer.
 //
 // The static pass knows, before any run, (a) which pick sites are genuinely
 // ambiguous — a wildcard receive with k statically-matchable senders has k
@@ -15,10 +15,11 @@
 //     pairs (partial-order reduction, with reasons surfaced like the
 //     instrumentation plan's prune reasons).
 //
-// Serialization is the same line-oriented text idiom as Schedule files so
-// guidance can travel next to `.schedule` witnesses:
+// Serialization is the line-record format of Schedule files
+// (src/util/records.hpp) so guidance can travel next to `.schedule`
+// witnesses:
 //
-//   guidance v1
+//   # home explore guidance v1
 //   site <label> <alternatives> <occurrences> <phase>
 //   ordered <before> <after> <why...>
 //   phase <id> <ambiguity>
@@ -27,6 +28,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/util/records.hpp"
 
 namespace home::explore {
 
@@ -49,7 +52,7 @@ struct OrderedPair {
   std::string why;  ///< "program-order(rank 1)", "unique-match", ...
 };
 
-struct StaticGuidance {
+struct StaticGuidance : util::records::TextFile<StaticGuidance> {
   std::vector<AmbiguousSite> ambiguous;
   std::vector<OrderedPair> ordered;
   /// Per barrier-phase total match ambiguity (sum of alternatives-1 over
@@ -63,8 +66,6 @@ struct StaticGuidance {
 
   std::string to_string() const;
   static bool parse(const std::string& text, StaticGuidance* out);
-  bool save(const std::string& path) const;
-  static bool load(const std::string& path, StaticGuidance* out);
 };
 
 /// The deterministic guided pick: a pure function of (seed, site,

@@ -1,63 +1,54 @@
 #include "src/explore/journal.hpp"
 
-#include <sstream>
+#include "src/util/records.hpp"
 
 namespace home::explore {
 
 namespace {
 
+namespace records = util::records;
+
 constexpr const char* kHeader = "# home sweep journal v1";
 
-std::string meta_line(const JournalMeta& meta) {
-  std::ostringstream os;
-  os << "meta schedules=" << meta.schedules << " base_seed=" << meta.base_seed
-     << " strategy=" << meta.strategy;
-  return os.str();
+records::Writer& meta_record(records::Writer& w, const JournalMeta& meta) {
+  return w.tag("meta").str("schedules=" + std::to_string(meta.schedules))
+      .str("base_seed=" + std::to_string(meta.base_seed))
+      .str("strategy=" + meta.strategy);
 }
 
 }  // namespace
 
-SweepJournal::SweepJournal(const std::string& path, const JournalMeta& meta)
-    : path_(path) {
-  // Peek whether the file already has content (a resume appends; a fresh
-  // journal gets the header).
-  bool empty = true;
-  {
-    std::ifstream in(path);
-    std::string first;
-    if (in && std::getline(in, first) && !first.empty()) empty = false;
-  }
+SweepJournal::SweepJournal(const std::string& path, const JournalMeta& meta) {
+  // A resume appends; a fresh (missing or empty) journal gets the header.
+  const bool fresh =
+      std::ifstream(path).peek() == std::ifstream::traits_type::eof();
   out_.open(path, std::ios::app);
-  if (!out_) return;
-  if (empty) {
-    out_ << kHeader << "\n" << meta_line(meta) << "\n";
-    out_.flush();
-  }
+  if (!out_ || !fresh) return;
+  records::Writer w(kHeader);
+  out_ << meta_record(w, meta).take();
+  out_.flush();
 }
 
 void SweepJournal::record(const JournalEntry& entry) {
   if (!ok()) return;
-  out_ << "run " << entry.index << " " << entry.seed << " " << entry.signature
-       << " " << entry.hook_hits << " " << entry.status << " " << entry.retries
-       << "\n";
-  for (const std::string& key : entry.keys) {
-    out_ << "key " << entry.index << " " << key << "\n";
-  }
-  for (const std::string& err : entry.errors) {
-    out_ << "err " << entry.index << " " << err << "\n";
-  }
+  const int i = entry.index;
+  records::Writer w;
+  w.tag("run").num(i, entry.seed, entry.signature, entry.hook_hits)
+      .str(entry.status).num(entry.retries);
+  for (const std::string& key : entry.keys) w.tag("key").num(i).rest(key);
+  for (const std::string& err : entry.errors) w.tag("err").num(i).rest(err);
   if (!entry.schedule_path.empty()) {
-    out_ << "sched " << entry.index << " " << entry.schedule_path << "\n";
+    w.tag("sched").num(i).rest(entry.schedule_path);
   }
   if (!entry.faultplan_path.empty()) {
-    out_ << "fault " << entry.index << " " << entry.faultplan_path << "\n";
+    w.tag("fault").num(i).rest(entry.faultplan_path);
   }
   if (entry.certificates != 0 || entry.certificates_verified != 0) {
-    out_ << "cert " << entry.index << " " << entry.certificates << " "
-         << entry.certificates_verified << "\n";
+    w.tag("cert").num(i, entry.certificates, entry.certificates_verified);
   }
-  out_ << "end " << entry.index << "\n";
+  w.tag("end").num(i);
   // The flush is the checkpoint: everything before it survives a kill.
+  out_ << w.take();
   out_.flush();
 }
 
@@ -66,64 +57,52 @@ bool SweepJournal::load(const std::string& path, const JournalMeta& expect,
                         std::size_t* torn_blocks) {
   out->clear();
   if (torn_blocks != nullptr) *torn_blocks = 0;
-  std::ifstream in(path);
-  if (!in) return false;
-
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) return false;
-  if (!std::getline(in, line) || line != meta_line(expect)) return false;
-
+  std::string text;
+  if (!records::read_file(path, &text)) return false;
+  records::Reader r(text);
+  records::Writer meta;
+  const std::string want = meta_record(meta, expect).take();
+  bool meta_matches = false;
   JournalEntry open;     // block being accumulated.
   bool block_open = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "run") {
-      if (block_open && torn_blocks != nullptr) ++*torn_blocks;
-      open = JournalEntry{};
-      if (!(is >> open.index >> open.seed >> open.signature >> open.hook_hits >>
-            open.status >> open.retries)) {
-        block_open = false;  // torn `run` line: skip until the next block.
-        continue;
-      }
-      block_open = true;
-    } else if (!block_open) {
-      continue;  // orphan line after a torn block.
-    } else if (tag == "key" || tag == "err" || tag == "sched" ||
-               tag == "fault") {
-      int index = 0;
-      is >> index;
-      if (is.fail() || index != open.index) continue;
-      std::string rest;
-      std::getline(is, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      if (rest.empty()) continue;
-      if (tag == "key") open.keys.insert(rest);
-      else if (tag == "err") open.errors.push_back(rest);
-      else if (tag == "sched") open.schedule_path = rest;
-      else open.faultplan_path = rest;
-    } else if (tag == "cert") {
-      int index = 0;
-      is >> index >> open.certificates >> open.certificates_verified;
-      if (is.fail() || index != open.index) {
-        open.certificates = 0;
-        open.certificates_verified = 0;
-      }
-    } else if (tag == "end") {
-      int index = 0;
-      is >> index;
-      if (!is.fail() && index == open.index) {
-        (*out)[open.index] = open;
-      } else if (torn_blocks != nullptr) {
-        ++*torn_blocks;
-      }
-      block_open = false;
+  std::size_t torn = 0;
+  r.read(kHeader, [&](std::string_view tag) {
+    // The first record must be this sweep's `meta` line; nothing after it
+    // is ever refused.
+    if (!meta_matches) {
+      return meta_matches = want.compare(0, want.size() - 1, r.line()) == 0;
     }
-    // Unknown tags are skipped (forward compatibility).
-  }
-  if (block_open && torn_blocks != nullptr) ++*torn_blocks;
+    if (tag == "run") {
+      torn += block_open;
+      open = JournalEntry{};
+      // A torn `run` line skips everything until the next block.
+      block_open = r.num(&open.index, &open.seed, &open.signature,
+                         &open.hook_hits) &&
+                   r.str(&open.status) && r.num(&open.retries);
+      return true;
+    }
+    if (!block_open) return true;  // orphan line after a torn block.
+    int index = 0;
+    const bool mine = r.num(&index) && index == open.index;
+    std::string rest;
+    if (tag == "end") {
+      if (mine) (*out)[open.index] = open;
+      torn += !mine;
+      block_open = false;
+    } else if (tag == "cert") {
+      if (!mine || !r.num(&open.certificates, &open.certificates_verified)) {
+        open.certificates = open.certificates_verified = 0;
+      }
+    } else if (mine && r.rest(&rest)) {
+      if (tag == "key") open.keys.insert(std::move(rest));
+      else if (tag == "err") open.errors.push_back(std::move(rest));
+      else if (tag == "sched") open.schedule_path = std::move(rest);
+      else if (tag == "fault") open.faultplan_path = std::move(rest);
+    }
+    return true;  // unknown tags are skipped (forward compatibility).
+  });
+  if (!meta_matches) return false;
+  if (torn_blocks != nullptr) *torn_blocks = torn + block_open;
   return true;
 }
 

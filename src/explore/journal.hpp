@@ -1,5 +1,5 @@
-// Sweep progress journal (ISSUE-10 sweep robustness): an append-only,
-// line-oriented checkpoint of every completed schedule, flushed record by
+// Sweep progress journal: an append-only, line-record (src/util/records.hpp)
+// checkpoint of every completed schedule, flushed record by
 // record, so a sweep killed mid-flight (crash, OOM, SIGKILL) can resume and
 // reproduce the uninterrupted sweep's aggregates without re-running the
 // schedules it already finished.
@@ -52,11 +52,6 @@ struct JournalMeta {
   int schedules = 0;
   std::uint64_t base_seed = 0;
   std::string strategy;
-
-  bool operator==(const JournalMeta& o) const {
-    return schedules == o.schedules && base_seed == o.base_seed &&
-           strategy == o.strategy;
-  }
 };
 
 class SweepJournal {
@@ -66,7 +61,6 @@ class SweepJournal {
   SweepJournal(const std::string& path, const JournalMeta& meta);
 
   bool ok() const { return out_.is_open() && out_.good(); }
-  const std::string& path() const { return path_; }
 
   /// Append one completed schedule's record block, `end`-terminated, and
   /// flush — after record() returns, a kill cannot lose this schedule.
@@ -81,7 +75,6 @@ class SweepJournal {
                    std::size_t* torn_blocks = nullptr);
 
  private:
-  std::string path_;
   std::ofstream out_;
 };
 

@@ -1,12 +1,12 @@
 #include "src/explore/schedule.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include "src/util/records.hpp"
 
 namespace home::explore {
 
 namespace {
+
+namespace records = util::records;
 
 constexpr const char* kHookNames[kHookKindCount] = {
     "barrier",        "critical",  "lock",       "chunk_claim",
@@ -48,69 +48,35 @@ std::string decision_key(HookKind kind, int rank, int lane,
 }
 
 std::string Schedule::to_string() const {
-  std::ostringstream os;
-  os << kHeader << "\n";
-  os << "strategy " << (strategy.empty() ? "?" : strategy) << "\n";
-  os << "seed " << seed << "\n";
+  records::Writer w(kHeader);
+  w.tag("strategy").str(strategy.empty() ? "?" : strategy);
+  w.tag("seed").num(seed);
   for (const Decision& d : decisions) {
-    os << (d.is_pick ? "pick" : "yield") << ' ' << hook_kind_name(d.kind) << ' '
-       << d.rank << ' ' << d.lane << ' '
-       << (d.site.empty() ? "-" : d.site) << ' ' << d.occurrence << ' '
-       << d.value << "\n";
+    w.tag(d.is_pick ? "pick" : "yield").str(hook_kind_name(d.kind))
+        .num(d.rank, d.lane).str(d.site).num(d.occurrence, d.value);
   }
-  return os.str();
+  return w.take();
 }
 
 bool Schedule::parse(const std::string& text, Schedule* out) {
   Schedule parsed;
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      saw_header = true;
-      continue;
+  records::Reader r(text);
+  const bool ok = r.read(kHeader, [&](std::string_view tag) {
+    std::string kind;
+    Decision d;
+    d.is_pick = tag == "pick";
+    if (tag == "strategy") return r.str(&parsed.strategy);
+    if (tag == "seed") return r.num(&parsed.seed);
+    if ((!d.is_pick && tag != "yield") || !r.str(&kind) ||
+        !parse_hook_kind(kind, &d.kind) || !r.num(&d.rank, &d.lane) ||
+        !r.str(&d.site) || !r.num(&d.occurrence, &d.value)) {
+      return false;
     }
-    std::istringstream ls(line);
-    std::string word;
-    ls >> word;
-    if (word == "strategy") {
-      ls >> parsed.strategy;
-    } else if (word == "seed") {
-      ls >> parsed.seed;
-    } else if (word == "pick" || word == "yield") {
-      Decision d;
-      d.is_pick = (word == "pick");
-      std::string kind;
-      ls >> kind >> d.rank >> d.lane >> d.site >> d.occurrence >> d.value;
-      if (ls.fail() || !parse_hook_kind(kind, &d.kind)) return false;
-      if (d.site == "-") d.site.clear();
-      parsed.decisions.push_back(std::move(d));
-    } else {
-      return false;  // unknown directive.
-    }
-  }
-  if (!saw_header && parsed.decisions.empty() && parsed.strategy.empty()) {
-    return false;
-  }
-  *out = std::move(parsed);
-  return true;
-}
-
-bool Schedule::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return false;
-  os << to_string();
-  return static_cast<bool>(os);
-}
-
-bool Schedule::load(const std::string& path, Schedule* out) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), out);
+    parsed.decisions.push_back(std::move(d));
+    return true;
+  });
+  if (ok) *out = std::move(parsed);
+  return ok;
 }
 
 }  // namespace home::explore

@@ -1,5 +1,4 @@
-// Schedule-exploration subsystem (ISSUE-7 tentpole): the replayable decision
-// log.
+// The replayable decision log of schedule exploration.
 //
 // A Schedule is the compact record of every scheduling decision a strategy
 // made during one controlled run: delays injected at yield points and
@@ -10,14 +9,16 @@
 // order — so feeding the log back through the Replay strategy re-derives the
 // same choices and therefore the same violating interleaving.
 //
-// Serialization is a line-oriented text format (one decision per line, plus
-// strategy/seed metadata) so violating schedules can be attached to bug
-// reports and replayed with `toolrun --replay <file>`.
+// Serialization is a line-record text format (src/util/records.hpp; one
+// decision per line, plus strategy/seed metadata) so violating schedules can
+// be attached to bug reports and replayed with `toolrun --replay <file>`.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/util/records.hpp"
 
 namespace home::explore {
 
@@ -65,7 +66,7 @@ std::string decision_key(HookKind kind, int rank, int lane,
                          const std::string& site);
 
 /// A full recorded run: strategy metadata plus the decision log.
-struct Schedule {
+struct Schedule : util::records::TextFile<Schedule> {
   std::string strategy;        ///< strategy name that produced this run.
   std::uint64_t seed = 0;      ///< strategy seed.
   std::vector<Decision> decisions;
@@ -75,11 +76,6 @@ struct Schedule {
   std::string to_string() const;
   /// Parse the text produced by to_string; returns false on malformed input.
   static bool parse(const std::string& text, Schedule* out);
-
-  /// File round-trip helpers; save overwrites, load returns false on I/O or
-  /// parse failure.
-  bool save(const std::string& path) const;
-  static bool load(const std::string& path, Schedule* out);
 };
 
 }  // namespace home::explore

@@ -1,11 +1,14 @@
 #include "src/faults/plan.hpp"
 
-#include <fstream>
 #include <sstream>
+
+#include "src/util/records.hpp"
 
 namespace home::faults {
 
 namespace {
+
+namespace records = util::records;
 
 constexpr const char* kKindNames[kFaultKindCount] = {
     "msg_delay", "msg_drop", "rank_stall", "rank_crash", "lock_pause",
@@ -43,107 +46,56 @@ std::string FaultSpec::to_string() const {
 
 bool FaultSpec::parse(const std::string& text, FaultSpec* out) {
   FaultSpec parsed;
-  std::istringstream is(text);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    try {
-      if (key == "delay") {
-        parsed.msg_delay_p = std::stod(val);
-      } else if (key == "drop") {
-        parsed.msg_drop_p = std::stod(val);
-      } else if (key == "stall") {
-        parsed.rank_stall_p = std::stod(val);
-      } else if (key == "crash") {
-        parsed.rank_crash_p = std::stod(val);
-      } else if (key == "lockpause") {
-        parsed.lock_pause_p = std::stod(val);
-      } else if (key == "qpressure") {
-        parsed.queue_pressure_p = std::stod(val);
-      } else if (key == "max_delay_us") {
-        parsed.max_delay_us = static_cast<std::uint32_t>(std::stoul(val));
-      } else if (key == "redeliver_us") {
-        parsed.redeliver_delay_us = static_cast<std::uint32_t>(std::stoul(val));
-      } else if (key == "max_crashes") {
-        parsed.max_crashes = std::stoi(val);
-      } else {
-        return false;
-      }
-    } catch (const std::exception&) {
-      return false;
+  const auto field = [&parsed](std::string_view key, std::string_view value) {
+    using records::parse_number;
+    if (key == "delay") return parse_number(value, &parsed.msg_delay_p);
+    if (key == "drop") return parse_number(value, &parsed.msg_drop_p);
+    if (key == "stall") return parse_number(value, &parsed.rank_stall_p);
+    if (key == "crash") return parse_number(value, &parsed.rank_crash_p);
+    if (key == "lockpause") return parse_number(value, &parsed.lock_pause_p);
+    if (key == "qpressure") return parse_number(value, &parsed.queue_pressure_p);
+    if (key == "max_delay_us") return parse_number(value, &parsed.max_delay_us);
+    if (key == "redeliver_us") {
+      return parse_number(value, &parsed.redeliver_delay_us);
     }
-  }
+    if (key == "max_crashes") return parse_number(value, &parsed.max_crashes);
+    return false;
+  };
+  if (!records::read_pairs(text, ',', field)) return false;
   *out = parsed;
   return true;
 }
 
 std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  os << kHeader << "\n";
-  os << "seed " << seed << "\n";
-  os << "spec " << spec.to_string() << "\n";
+  records::Writer w(kHeader);
+  w.tag("seed").num(seed);
+  w.tag("spec").str(spec.to_string());
   for (const FaultDecision& d : decisions) {
-    os << "F " << fault_kind_name(d.kind) << ' ' << d.rank << ' '
-       << (d.site.empty() ? "-" : d.site) << ' ' << d.occurrence << ' '
-       << d.value << "\n";
+    w.tag("F").str(fault_kind_name(d.kind)).num(d.rank).str(d.site)
+        .num(d.occurrence, d.value);
   }
-  return os.str();
+  return w.take();
 }
 
 bool FaultPlan::parse(const std::string& text, FaultPlan* out) {
   FaultPlan parsed;
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      saw_header = true;
-      continue;
-    }
-    std::istringstream ls(line);
+  records::Reader r(text);
+  const bool ok = r.read(kHeader, [&](std::string_view tag) {
     std::string word;
-    ls >> word;
-    if (word == "seed") {
-      ls >> parsed.seed;
-      if (ls.fail()) return false;
-    } else if (word == "spec") {
-      std::string spec_text;
-      ls >> spec_text;
-      if (ls.fail() || !FaultSpec::parse(spec_text, &parsed.spec)) return false;
-    } else if (word == "F") {
-      FaultDecision d;
-      std::string kind;
-      ls >> kind >> d.rank >> d.site >> d.occurrence >> d.value;
-      if (ls.fail() || !parse_fault_kind(kind, &d.kind)) return false;
-      if (d.site == "-") d.site.clear();
-      parsed.decisions.push_back(std::move(d));
-    } else {
-      return false;  // unknown directive.
+    FaultDecision d;
+    if (tag == "seed") return r.num(&parsed.seed);
+    if (tag == "spec") {
+      return r.str(&word) && FaultSpec::parse(word, &parsed.spec);
     }
-  }
-  if (!saw_header) return false;
-  *out = std::move(parsed);
-  return true;
-}
-
-bool FaultPlan::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return false;
-  os << to_string();
-  return static_cast<bool>(os);
-}
-
-bool FaultPlan::load(const std::string& path, FaultPlan* out) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), out);
+    if (tag != "F" || !r.str(&word) || !parse_fault_kind(word, &d.kind) ||
+        !r.num(&d.rank) || !r.str(&d.site) || !r.num(&d.occurrence, &d.value)) {
+      return false;
+    }
+    parsed.decisions.push_back(std::move(d));
+    return true;
+  });
+  if (ok) *out = std::move(parsed);
+  return ok;
 }
 
 }  // namespace home::faults

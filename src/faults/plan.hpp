@@ -1,5 +1,5 @@
-// Fault-injection plans (ISSUE-10 tentpole): the replayable record of every
-// fault a seeded Injector fired during one run.
+// Fault-injection plans: the replayable record of every fault a seeded
+// Injector fired during one run.
 //
 // Mirrors the explore::Schedule discipline: faults are drawn as pure
 // functions of (seed, site, per-site occurrence) via
@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/util/records.hpp"
 
 namespace home::faults {
 
@@ -75,7 +77,7 @@ struct FaultSpec {
 
 /// A full recorded fault run: the generating spec/seed plus every fault the
 /// injector fired, in injection order.
-struct FaultPlan {
+struct FaultPlan : util::records::TextFile<FaultPlan> {
   std::uint64_t seed = 0;
   FaultSpec spec;
   std::vector<FaultDecision> decisions;
@@ -85,11 +87,6 @@ struct FaultPlan {
   std::string to_string() const;
   /// Parse the text produced by to_string; false on malformed input.
   static bool parse(const std::string& text, FaultPlan* out);
-
-  /// File round-trip helpers; save overwrites, load returns false on I/O or
-  /// parse failure.
-  bool save(const std::string& path) const;
-  static bool load(const std::string& path, FaultPlan* out);
 };
 
 }  // namespace home::faults

@@ -5,7 +5,6 @@
 #include "src/homp/runtime.hpp"
 #include "src/spec/matcher.hpp"
 #include "src/spec/monitored.hpp"
-#include "src/trace/trace_io.hpp"
 
 namespace home {
 
@@ -54,12 +53,12 @@ PostMortem analyze_events(std::vector<trace::Event> events,
   return PostMortem{std::move(concurrency), std::move(violations), stats};
 }
 
-Report analyze_trace(const trace::LoadedTrace& loaded, const SessionConfig& cfg) {
+Report analyze_trace(trace::LoadedTrace loaded, const SessionConfig& cfg) {
   // Rebuild the string table so callsite ids resolve like in the live run.
   trace::StringTable strings;
   for (const std::string& s : loaded.strings) strings.intern(s);
-  PostMortem pm =
-      analyze_events(loaded.events, &strings, make_detector_config(cfg));
+  PostMortem pm = analyze_events(std::move(loaded.events), &strings,
+                                 make_detector_config(cfg));
   return Report(std::move(pm.violations), pm.stats);
 }
 
@@ -67,10 +66,11 @@ Report analyze_trace_file(const std::string& path, const SessionConfig& cfg) {
   return analyze_trace(trace::load_trace_file(path), cfg);
 }
 
-Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
-                              const trace::WalSalvage& salvage,
-                              const SessionConfig& cfg) {
-  Report report = analyze_trace(loaded, cfg);
+Report analyze_wal_file(const std::string& path, const SessionConfig& cfg,
+                        trace::WalSalvage* salvage_out) {
+  trace::WalSalvage salvage;
+  Report report = analyze_trace(trace::salvage_wal_file(path, &salvage), cfg);
+  if (salvage_out != nullptr) *salvage_out = salvage;
   if (!salvage.clean()) {
     std::ostringstream reason;
     reason << "WAL salvage: recovered " << salvage.events << " events ("
@@ -81,14 +81,6 @@ Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
     report.mark_degraded(reason.str());
   }
   return report;
-}
-
-Report analyze_wal_file(const std::string& path, const SessionConfig& cfg,
-                        trace::WalSalvage* salvage_out) {
-  trace::WalSalvage salvage;
-  const trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
-  if (salvage_out != nullptr) *salvage_out = salvage;
-  return analyze_salvaged_trace(loaded, salvage, cfg);
 }
 
 }  // namespace home

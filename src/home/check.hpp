@@ -60,23 +60,19 @@ PostMortem analyze_events(std::vector<trace::Event> events,
 
 /// Offline mode: run the detection + matching pipeline over a previously
 /// saved execution log (Session::save_trace / trace::load_trace_file).
-Report analyze_trace(const trace::LoadedTrace& loaded,
+/// Takes the trace by value and moves its events into detection, so a
+/// caller that hands over an rvalue never copies them.
+Report analyze_trace(trace::LoadedTrace loaded,
                      const SessionConfig& cfg = {});
 
 /// Convenience: load the trace file and analyze it.
 Report analyze_trace_file(const std::string& path,
                           const SessionConfig& cfg = {});
 
-/// Degraded-mode analysis over a trace recovered by the WAL salvage loader:
-/// runs the normal pipeline over whatever survived, then tags the report
-/// Verdict::kDegraded (with exact damage accounting in the reasons) unless
-/// the salvage was clean.
-Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
-                              const trace::WalSalvage& salvage,
-                              const SessionConfig& cfg = {});
-
-/// Convenience: salvage a (possibly torn) WAL file and analyze the longest
-/// valid prefix.  `salvage_out` (may be null) receives the damage report.
+/// Degraded-mode analysis: salvage a (possibly torn) WAL file and analyze
+/// the longest valid prefix, tagging the report Verdict::kDegraded (with
+/// exact damage accounting in the reasons) unless the salvage was clean.
+/// `salvage_out` (may be null) receives the damage report.
 Report analyze_wal_file(const std::string& path, const SessionConfig& cfg = {},
                         trace::WalSalvage* salvage_out = nullptr);
 

@@ -273,16 +273,10 @@ Report Session::analyze_online() {
     // No retained trace, but the write-ahead copy has every emitted event,
     // including the shed ones.  Salvage it and re-analyze; exact when the
     // salvage is clean, degraded when the WAL itself is torn.
-    trace::WalSalvage salvage;
-    const trace::LoadedTrace loaded =
-        trace::salvage_wal_file(wal_->path(), &salvage);
-    violations = analyze_trace(loaded, cfg_).violations();
-    if (!salvage.clean()) {
-      std::ostringstream reason;
-      reason << "online " << shed_summary(shed)
-             << "; WAL recovery incomplete: discarded " << salvage.corrupt_frames
-             << " corrupt frame(s), " << salvage.bytes_discarded << " bytes";
-      degraded_reasons.push_back(reason.str());
+    const Report recovered = analyze_wal_file(wal_->path(), cfg_);
+    violations = recovered.violations();
+    for (const std::string& why : recovered.degraded_reasons()) {
+      degraded_reasons.push_back("online " + shed_summary(shed) + "; " + why);
     }
   } else if (!shed.empty()) {
     // Shed events with no recovery source: the findings stand, but absence

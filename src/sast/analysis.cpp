@@ -1,17 +1,20 @@
 #include "src/sast/analysis.hpp"
 
 #include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/util/records.hpp"
 #include "src/util/strings.hpp"
 
 namespace home::sast {
 namespace {
+
+namespace records = util::records;
+
+constexpr std::string_view kPlanV1 = "#home-plan v1";
+constexpr std::string_view kPlanV2 = "#home-plan v2";
 
 bool is_mpi_call(const std::string& callee) {
   return util::starts_with(callee, "MPI_") || util::starts_with(callee, "HMPI_");
@@ -348,79 +351,58 @@ AnalysisResult analyze_source(const std::string& source) {
 }
 
 void save_plan_file(const std::string& path, const InstrPlan& plan) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open plan file " + path);
-  out << "#home-plan v2 total=" << plan.total_calls
-      << " instrumented=" << plan.instrumented_calls
-      << " filtered=" << plan.filtered_calls
-      << " pruned=" << plan.pruned_calls << "\n";
-  for (const std::string& label : plan.instrument) {
-    out << "wrap " << label << "\n";
-  }
+  using std::to_string;
+  records::Writer w(kPlanV2);
+  w.str("total=" + to_string(plan.total_calls))
+      .str("instrumented=" + to_string(plan.instrumented_calls))
+      .str("filtered=" + to_string(plan.filtered_calls))
+      .str("pruned=" + to_string(plan.pruned_calls));
+  for (const std::string& label : plan.instrument) w.tag("wrap").rest(label);
   for (const auto& [label, reason] : plan.pruned) {
-    out << "prune " << label << " " << reason << "\n";
+    w.tag("prune").str(label).rest(reason);
+  }
+  if (!records::write_file(path, w.take())) {
+    throw std::runtime_error("cannot open plan file " + path);
   }
 }
-
-namespace {
-
-std::size_t header_count(const std::string& header, const std::string& key) {
-  const std::size_t pos = header.find(key + "=");
-  if (pos == std::string::npos) return 0;
-  return static_cast<std::size_t>(
-      std::strtoull(header.c_str() + pos + key.size() + 1, nullptr, 10));
-}
-
-}  // namespace
 
 InstrPlan load_plan_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open plan file " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("bad plan file header in " + path);
+  std::string text;
+  if (!records::read_file(path, &text)) {
+    throw std::runtime_error("cannot open plan file " + path);
   }
+  records::Reader r(text);
+  const int version = r.header({kPlanV1, kPlanV2});
+  const std::string_view counts =  // both versions have the same length.
+      version < 0 ? std::string_view() : r.line().substr(kPlanV2.size());
   InstrPlan plan;
-  const bool v1 = line.rfind("#home-plan v1", 0) == 0;
-  const bool v2 = line.rfind("#home-plan v2", 0) == 0;
-  if (!v1 && !v2) {
-    throw std::runtime_error("bad plan file header in " + path);
-  }
-  const std::string header = line;
-
-  while (std::getline(in, line)) {
-    const std::string body = util::trim(line);
-    if (body.empty() || body[0] == '#') continue;
-    if (v1) {
-      plan.instrument.insert(body);
-      continue;
-    }
-    const std::size_t sp = body.find(' ');
-    const std::string verb = body.substr(0, sp);
-    if (verb == "wrap" && sp != std::string::npos) {
-      plan.instrument.insert(util::trim(body.substr(sp + 1)));
-    } else if (verb == "prune" && sp != std::string::npos) {
-      const std::string rest = util::trim(body.substr(sp + 1));
-      const std::size_t sp2 = rest.find(' ');
-      const std::string label = rest.substr(0, sp2);
-      const std::string reason =
-          sp2 == std::string::npos ? "" : util::trim(rest.substr(sp2 + 1));
-      plan.pruned[label] = reason;
+  while (r.next()) {
+    std::string_view verb;
+    std::string label, reason;
+    // v1 has one bare label per line.
+    if ((version == 0 || (r.word(&verb) && verb == "wrap")) && r.rest(&label)) {
+      plan.instrument.insert(std::move(label));
+    } else if (verb == "prune" && r.str(&label)) {
+      r.rest(&reason);  // optional.
+      plan.pruned[std::move(label)] = std::move(reason);
     } else {
-      throw std::runtime_error("bad plan line \"" + body + "\" in " + path);
+      r.reject();
     }
   }
-
+  const bool counts_ok = records::read_pairs(
+      counts, ' ', [&plan](std::string_view key, std::string_view value) {
+        std::size_t* count = key == "total"      ? &plan.total_calls
+                             : key == "filtered" ? &plan.filtered_calls
+                                                 : nullptr;
+        return count == nullptr || records::parse_number(value, count);
+      });
+  if (!r.ok() || !counts_ok) {
+    throw std::runtime_error("bad plan file " + path + ": " + r.error());
+  }
   plan.instrumented_calls = plan.instrument.size();
   plan.pruned_calls = plan.pruned.size();
-  if (v1) {
-    plan.total_calls = plan.instrument.size();
-  } else {
-    plan.total_calls = header_count(header, "total");
-    plan.filtered_calls = header_count(header, "filtered");
-    if (plan.total_calls == 0) {
-      plan.total_calls = plan.instrumented_calls + plan.pruned_calls;
-    }
+  if (plan.total_calls == 0) {
+    plan.total_calls = plan.instrumented_calls + plan.pruned_calls;
   }
   return plan;
 }

@@ -1,75 +1,17 @@
 #include "src/trace/trace_io.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "src/obs/telemetry.hpp"
+#include "src/util/records.hpp"
 
 namespace home::trace {
 namespace {
 
+namespace records = util::records;
+
 constexpr const char* kHeader = "#home-trace v1";
-
-// Whitespace-free encoding so labels survive operator>> tokenization:
-// '\' -> "\\", ' ' -> "\s", '\n' -> "\n", empty -> "-".
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case ' ': out += "\\s"; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out.empty() ? "-" : out;
-}
-
-std::string unescape(const std::string& s) {
-  if (s == "-") return "";
-  std::string out;
-  bool esc = false;
-  for (char c : s) {
-    if (esc) {
-      switch (c) {
-        case 's': out.push_back(' '); break;
-        case 'n': out.push_back('\n'); break;
-        default: out.push_back(c);
-      }
-      esc = false;
-    } else if (c == '\\') {
-      esc = true;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_trace(std::ostream& out, const TraceLog& log) {
-  out << kHeader << "\n";
-  for (std::uint32_t i = 0; i < log.strings().size(); ++i) {
-    out << "S " << i << " " << escape(log.strings().lookup(i)) << "\n";
-  }
-  for (const Event& e : log.sorted_events()) {
-    out << "E " << e.seq << " " << e.tid << " " << e.rank << " "
-        << static_cast<int>(e.kind) << " " << e.obj << " " << e.aux << " "
-        << e.locks_held.size();
-    for (ObjId lock : e.locks_held) out << " " << lock;
-    if (e.mpi) {
-      out << " M " << static_cast<int>(e.mpi->type) << " " << e.mpi->peer << " "
-          << e.mpi->tag << " " << e.mpi->comm << " " << e.mpi->request << " "
-          << (e.mpi->on_main_thread ? 1 : 0) << " "
-          << static_cast<int>(e.mpi->provided) << " " << e.mpi->callsite;
-    }
-    out << "\n";
-  }
-}
-
-namespace {
 
 /// Caps driven by parsed (untrusted) counts: a corrupt lock count must not
 /// turn into a multi-gigabyte resize before the record is rejected.
@@ -77,62 +19,39 @@ constexpr std::size_t kMaxLocksPerEvent = 1u << 20;
 constexpr std::uint32_t kMaxStringId = 1u << 24;
 constexpr int kMaxEventKind = 64;
 
-/// Parse one "S"/"E" line into `result`.  Returns false on any malformation
-/// — short record, bad tag, absurd counts — leaving `result` untouched by
-/// the failed record.  Shared by the strict and lenient loaders so they
-/// accept exactly the same language.
-bool parse_trace_line(const std::string& line, LoadedTrace* result,
-                      std::string* error) {
-  std::istringstream is(line);
-  std::string tag;
-  is >> tag;
+/// Parse one "S"/"E" record into `result`.  Returns false on any
+/// malformation — short record, bad tag, absurd counts — leaving `result`
+/// untouched by the failed record.
+bool parse_record(std::string_view tag, records::Reader& r,
+                  LoadedTrace* result) {
   if (tag == "S") {
     std::uint32_t id = 0;
     std::string text;
-    is >> id >> text;
-    if (is.fail() || id > kMaxStringId) {
-      *error = "trace_io: malformed string record";
-      return false;
-    }
+    if (!r.num(&id) || id > kMaxStringId || !r.str(&text)) return false;
     if (result->strings.size() <= id) result->strings.resize(id + 1);
-    result->strings[id] = unescape(text);
+    result->strings[id] = std::move(text);
     return true;
-  }
-  if (tag != "E") {
-    *error = "trace_io: bad record '" + tag + "'";
-    return false;
   }
   Event e;
   int kind = 0;
   std::size_t nlocks = 0;
-  is >> e.seq >> e.tid >> e.rank >> kind >> e.obj >> e.aux >> nlocks;
-  // A short E line leaves fail+eof set; iostream extraction "succeeding"
-  // with zero-filled fields is exactly the silent corruption this loader
-  // must refuse.
-  if (is.fail() || kind < 0 || kind > kMaxEventKind ||
-      nlocks > kMaxLocksPerEvent) {
-    *error = "trace_io: malformed event line";
+  if (tag != "E" ||
+      !r.num(&e.seq, &e.tid, &e.rank, &kind, &e.obj, &e.aux, &nlocks) ||
+      kind < 0 || kind > kMaxEventKind || nlocks > kMaxLocksPerEvent) {
     return false;
   }
   e.kind = static_cast<EventKind>(kind);
   e.locks_held.resize(nlocks);
-  for (std::size_t i = 0; i < nlocks; ++i) is >> e.locks_held[i];
-  if (is.fail()) {
-    *error = "trace_io: truncated lockset";
-    return false;
+  for (ObjId& lock : e.locks_held) {
+    if (!r.num(&lock)) return false;
   }
-  std::string marker;
-  if (is >> marker) {
-    if (marker != "M") {
-      *error = "trace_io: bad marker";
-      return false;
-    }
+  std::string_view marker;
+  if (r.word(&marker)) {
     MpiCallInfo info;
     int type = 0, main_thread = 0, provided = 0;
-    is >> type >> info.peer >> info.tag >> info.comm >> info.request >>
-        main_thread >> provided >> info.callsite;
-    if (is.fail()) {
-      *error = "trace_io: truncated MPI record";
+    if (marker != "M" ||
+        !r.num(&type, &info.peer, &info.tag, &info.comm, &info.request,
+               &main_thread, &provided, &info.callsite)) {
       return false;
     }
     info.type = static_cast<MpiCallType>(type);
@@ -144,69 +63,67 @@ bool parse_trace_line(const std::string& line, LoadedTrace* result,
   return true;
 }
 
-}  // namespace
-
-LoadedTrace read_trace(std::istream& in) {
+/// The strict and lenient loaders share this one pass, so they accept
+/// exactly the same language.
+LoadedTrace parse_trace(std::string_view text, records::Mode mode,
+                        ReadStats* stats) {
   LoadedTrace result;
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) {
-    throw std::runtime_error("trace_io: missing header");
+  records::Reader reader(text, mode);
+  if (!reader.read(kHeader, [&](std::string_view tag) {
+        return parse_record(tag, reader, &result);
+      })) {
+    throw std::runtime_error("trace_io: " + reader.error());
   }
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::string error;
-    if (!parse_trace_line(line, &result, &error)) {
-      throw std::runtime_error(error);
+  obs::Registry::global().counter("trace.corrupt_records").add(reader.skipped());
+  if (stats != nullptr) stats->corrupt_records = reader.skipped();
+  return result;
+}
+
+std::string trace_text(const TraceLog& log) {
+  records::Writer w(kHeader);
+  for (std::uint32_t i = 0; i < log.strings().size(); ++i) {
+    w.tag("S").num(i).str(log.strings().lookup(i));
+  }
+  for (const Event& e : log.sorted_events()) {
+    w.tag("E").num(e.seq, e.tid, e.rank, static_cast<int>(e.kind), e.obj,
+                   e.aux, e.locks_held.size());
+    for (ObjId lock : e.locks_held) w.num(lock);
+    if (e.mpi) {
+      const MpiCallInfo& m = *e.mpi;
+      w.str("M").num(static_cast<int>(m.type), m.peer, m.tag, m.comm,
+                     m.request, m.on_main_thread ? 1 : 0,
+                     static_cast<int>(m.provided), m.callsite);
     }
   }
-  return result;
+  return w.take();
+}
+
+}  // namespace
+
+void write_trace(std::ostream& out, const TraceLog& log) {
+  out << trace_text(log);
+}
+
+LoadedTrace read_trace(std::istream& in) {
+  return parse_trace(records::read_stream(in), records::Mode::kStrict, nullptr);
 }
 
 LoadedTrace read_trace_lenient(std::istream& in, ReadStats* stats) {
-  LoadedTrace result;
-  ReadStats local;
-  obs::Counter& corrupt_counter =
-      obs::Registry::global().counter("trace.corrupt_records");
-  std::string line;
-  if (!std::getline(in, line)) {
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-  if (line != kHeader) {
-    // Missing header counts as damage, but the line itself may still be a
-    // parseable record (a file whose head was torn off) — keep it if so.
-    ++local.corrupt_records;
-    corrupt_counter.add();
-    std::string error;
-    if (!line.empty() && line[0] != '#' &&
-        parse_trace_line(line, &result, &error)) {
-      ++local.records;
-    }
-  }
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::string error;
-    if (parse_trace_line(line, &result, &error)) {
-      ++local.records;
-    } else {
-      ++local.corrupt_records;
-      corrupt_counter.add();
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return result;
+  return parse_trace(records::read_stream(in), records::Mode::kLenient, stats);
 }
 
 void save_trace_file(const std::string& path, const TraceLog& log) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("trace_io: cannot open " + path);
-  write_trace(out, log);
+  if (!records::write_file(path, trace_text(log))) {
+    throw std::runtime_error("trace_io: cannot write " + path);
+  }
 }
 
 LoadedTrace load_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("trace_io: cannot open " + path);
-  return read_trace(in);
+  std::string text;
+  if (!records::read_file(path, &text)) {
+    throw std::runtime_error("trace_io: cannot open " + path);
+  }
+  return parse_trace(text, records::Mode::kStrict, nullptr);
 }
 
 }  // namespace home::trace

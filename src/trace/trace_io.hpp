@@ -1,7 +1,7 @@
 // Trace (de)serialization: lets the dynamic phase persist its execution log
 // and the analysis run offline later (the paper's offline-analysis mode).
 //
-// Text format, line-oriented:
+// Text format, in the shared line-record grammar (src/util/records.hpp):
 //   #home-trace v1
 //   S <id> <label>                          (string-table entries)
 //   E <seq> <tid> <rank> <kind> <obj> <aux> <nlocks> <lock>... [M <type>
@@ -32,18 +32,16 @@ void write_trace(std::ostream& out, const TraceLog& log);
 /// Loader damage accounting (lenient mode).
 struct ReadStats {
   std::size_t corrupt_records = 0;  ///< malformed/short lines skipped.
-  std::size_t records = 0;          ///< records successfully parsed.
 };
 
 /// Parse a trace written by write_trace. Throws std::runtime_error on
 /// malformed input (including short/truncated event records).
 LoadedTrace read_trace(std::istream& in);
 
-/// Lenient parse: malformed or truncated records are *skipped* and counted
-/// (into `stats` and the `trace.corrupt_records` telemetry counter) instead
-/// of aborting the load — the degraded-analysis path for damaged trace
-/// files.  Never throws on content (a missing header just counts as one
-/// corrupt record and parsing continues).
+/// Lenient parse (the codec's lenient mode): malformed or truncated records
+/// are skipped and counted (into `stats` and the `trace.corrupt_records`
+/// counter) — the degraded-analysis path for damaged trace files.  Never
+/// throws on content; a missing header counts as one corrupt record.
 LoadedTrace read_trace_lenient(std::istream& in, ReadStats* stats = nullptr);
 
 /// Convenience file wrappers.
