@@ -1,6 +1,5 @@
-// Interned, immutable, refcounted full vector clocks (content-addressed
-// over the normalized clock; ClockRef is a shared_ptr; compact() drops
-// entries nothing else references; the table is sharded by content hash).
+// Interned, immutable, refcounted full vector clocks, content-addressed and
+// sharded by hash; compact() drops entries nothing else references.
 //
 // Nothing in src/ calls this any more: retained stamps are epochs only
 // (src/detect/stamp.hpp) and post-mortem HbIndex frames live in the index

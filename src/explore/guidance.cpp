@@ -55,22 +55,20 @@ std::string StaticGuidance::to_string() const {
 bool StaticGuidance::parse(const std::string& text, StaticGuidance* out) {
   StaticGuidance parsed;
   records::Reader r(text);
+  // A record that fails leaves `parsed` half-filled, but it is then dropped.
   const bool ok = r.read(kHeader, [&](std::string_view tag) {
-    AmbiguousSite s;
-    OrderedPair p;
-    std::pair<int, std::size_t> phase;
-    if (tag == "site" && r.str(&s.site) &&
-        r.num(&s.alternatives, &s.occurrences, &s.phase)) {
-      parsed.ambiguous.push_back(std::move(s));
-    } else if (tag == "ordered" && r.str(&p.before) && r.str(&p.after)) {
-      r.rest(&p.why);  // optional.
-      parsed.ordered.push_back(std::move(p));
-    } else if (tag == "phase" && r.num(&phase.first, &phase.second)) {
-      parsed.phase_ambiguity.push_back(phase);
-    } else {
-      return false;
+    if (tag == "site") {
+      AmbiguousSite& s = parsed.ambiguous.emplace_back();
+      return r.str(&s.site) && r.num(&s.alternatives, &s.occurrences, &s.phase);
     }
-    return true;
+    if (tag == "ordered") {
+      OrderedPair& p = parsed.ordered.emplace_back();
+      if (!r.str(&p.before) || !r.str(&p.after)) return false;
+      r.rest(&p.why);  // optional.
+      return true;
+    }
+    auto& [phase, ambiguity] = parsed.phase_ambiguity.emplace_back();
+    return tag == "phase" && r.num(&phase, &ambiguity);
   });
   if (ok) *out = std::move(parsed);
   return ok;

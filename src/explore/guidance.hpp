@@ -15,9 +15,8 @@
 //     pairs (partial-order reduction, with reasons surfaced like the
 //     instrumentation plan's prune reasons).
 //
-// Serialization is the line-record format of Schedule files
-// (src/util/records.hpp) so guidance can travel next to `.schedule`
-// witnesses:
+// Serialized as line records (src/util/records.hpp), like Schedule files, so
+// guidance can travel next to `.schedule` witnesses:
 //
 //   # home explore guidance v1
 //   site <label> <alternatives> <occurrences> <phase>

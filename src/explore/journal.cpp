@@ -10,10 +10,12 @@ namespace records = util::records;
 
 constexpr const char* kHeader = "# home sweep journal v1";
 
-records::Writer& meta_record(records::Writer& w, const JournalMeta& meta) {
-  return w.tag("meta").str("schedules=" + std::to_string(meta.schedules))
+/// The `meta` line, after the `header` line unless that is empty.
+std::string meta_text(const JournalMeta& meta, std::string_view header) {
+  return records::Writer(header).tag("meta")
+      .str("schedules=" + std::to_string(meta.schedules))
       .str("base_seed=" + std::to_string(meta.base_seed))
-      .str("strategy=" + meta.strategy);
+      .str("strategy=" + meta.strategy).take();
 }
 
 }  // namespace
@@ -24,8 +26,7 @@ SweepJournal::SweepJournal(const std::string& path, const JournalMeta& meta) {
       std::ifstream(path).peek() == std::ifstream::traits_type::eof();
   out_.open(path, std::ios::app);
   if (!out_ || !fresh) return;
-  records::Writer w(kHeader);
-  out_ << meta_record(w, meta).take();
+  out_ << meta_text(meta, kHeader);
   out_.flush();
 }
 
@@ -57,11 +58,10 @@ bool SweepJournal::load(const std::string& path, const JournalMeta& expect,
                         std::size_t* torn_blocks) {
   out->clear();
   if (torn_blocks != nullptr) *torn_blocks = 0;
-  std::string text;
-  if (!records::read_file(path, &text)) return false;
-  records::Reader r(text);
-  records::Writer meta;
-  const std::string want = meta_record(meta, expect).take();
+  const std::optional<std::string> text = records::read_file(path);
+  if (!text) return false;
+  records::Reader r(*text);
+  const std::string want = meta_text(expect, "");
   bool meta_matches = false;
   JournalEntry open;     // block being accumulated.
   bool block_open = false;

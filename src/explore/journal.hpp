@@ -1,8 +1,8 @@
 // Sweep progress journal: an append-only, line-record (src/util/records.hpp)
-// checkpoint of every completed schedule, flushed record by
-// record, so a sweep killed mid-flight (crash, OOM, SIGKILL) can resume and
-// reproduce the uninterrupted sweep's aggregates without re-running the
-// schedules it already finished.
+// checkpoint of every completed schedule, flushed record by record, so a
+// sweep killed mid-flight (crash, OOM, SIGKILL) can resume and reproduce the
+// uninterrupted sweep's aggregates without re-running the schedules it
+// already finished.
 //
 // Format (text, one record block per schedule):
 //   # home sweep journal v1

@@ -61,19 +61,16 @@ std::string Schedule::to_string() const {
 bool Schedule::parse(const std::string& text, Schedule* out) {
   Schedule parsed;
   records::Reader r(text);
+  // A record that fails leaves `parsed` half-filled, but it is then dropped.
   const bool ok = r.read(kHeader, [&](std::string_view tag) {
-    std::string kind;
-    Decision d;
-    d.is_pick = tag == "pick";
     if (tag == "strategy") return r.str(&parsed.strategy);
     if (tag == "seed") return r.num(&parsed.seed);
-    if ((!d.is_pick && tag != "yield") || !r.str(&kind) ||
-        !parse_hook_kind(kind, &d.kind) || !r.num(&d.rank, &d.lane) ||
-        !r.str(&d.site) || !r.num(&d.occurrence, &d.value)) {
-      return false;
-    }
-    parsed.decisions.push_back(std::move(d));
-    return true;
+    std::string kind;
+    Decision& d = parsed.decisions.emplace_back();
+    d.is_pick = tag == "pick";
+    return (d.is_pick || tag == "yield") && r.str(&kind) &&
+           parse_hook_kind(kind, &d.kind) && r.num(&d.rank, &d.lane) &&
+           r.str(&d.site) && r.num(&d.occurrence, &d.value);
   });
   if (ok) *out = std::move(parsed);
   return ok;

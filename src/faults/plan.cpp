@@ -80,19 +80,16 @@ std::string FaultPlan::to_string() const {
 bool FaultPlan::parse(const std::string& text, FaultPlan* out) {
   FaultPlan parsed;
   records::Reader r(text);
+  // A record that fails leaves `parsed` half-filled, but it is then dropped.
   const bool ok = r.read(kHeader, [&](std::string_view tag) {
     std::string word;
-    FaultDecision d;
     if (tag == "seed") return r.num(&parsed.seed);
     if (tag == "spec") {
       return r.str(&word) && FaultSpec::parse(word, &parsed.spec);
     }
-    if (tag != "F" || !r.str(&word) || !parse_fault_kind(word, &d.kind) ||
-        !r.num(&d.rank) || !r.str(&d.site) || !r.num(&d.occurrence, &d.value)) {
-      return false;
-    }
-    parsed.decisions.push_back(std::move(d));
-    return true;
+    FaultDecision& d = parsed.decisions.emplace_back();
+    return tag == "F" && r.str(&word) && parse_fault_kind(word, &d.kind) &&
+           r.num(&d.rank) && r.str(&d.site) && r.num(&d.occurrence, &d.value);
   });
   if (ok) *out = std::move(parsed);
   return ok;

@@ -60,8 +60,7 @@ PostMortem analyze_events(std::vector<trace::Event> events,
 
 /// Offline mode: run the detection + matching pipeline over a previously
 /// saved execution log (Session::save_trace / trace::load_trace_file).
-/// Takes the trace by value and moves its events into detection, so a
-/// caller that hands over an rvalue never copies them.
+/// An rvalue trace is moved into detection, never copied.
 Report analyze_trace(trace::LoadedTrace loaded,
                      const SessionConfig& cfg = {});
 

@@ -367,11 +367,9 @@ void save_plan_file(const std::string& path, const InstrPlan& plan) {
 }
 
 InstrPlan load_plan_file(const std::string& path) {
-  std::string text;
-  if (!records::read_file(path, &text)) {
-    throw std::runtime_error("cannot open plan file " + path);
-  }
-  records::Reader r(text);
+  const std::optional<std::string> text = records::read_file(path);
+  if (!text) throw std::runtime_error("cannot open plan file " + path);
+  records::Reader r(*text);
   const int version = r.header({kPlanV1, kPlanV2});
   const std::string_view counts =  // both versions have the same length.
       version < 0 ? std::string_view() : r.line().substr(kPlanV2.size());
@@ -391,10 +389,9 @@ InstrPlan load_plan_file(const std::string& path) {
   }
   const bool counts_ok = records::read_pairs(
       counts, ' ', [&plan](std::string_view key, std::string_view value) {
-        std::size_t* count = key == "total"      ? &plan.total_calls
-                             : key == "filtered" ? &plan.filtered_calls
-                                                 : nullptr;
-        return count == nullptr || records::parse_number(value, count);
+        using records::parse_number;
+        return (key != "total" || parse_number(value, &plan.total_calls)) &&
+               (key != "filtered" || parse_number(value, &plan.filtered_calls));
       });
   if (!r.ok() || !counts_ok) {
     throw std::runtime_error("bad plan file " + path + ": " + r.error());

@@ -13,9 +13,8 @@ namespace records = util::records;
 
 constexpr const char* kHeader = "#home-trace v1";
 
-/// Caps driven by parsed (untrusted) counts: a corrupt lock count must not
-/// turn into a multi-gigabyte resize before the record is rejected.
-constexpr std::size_t kMaxLocksPerEvent = 1u << 20;
+/// Caps on parsed (untrusted) values: a corrupt string id must not turn into
+/// a multi-gigabyte resize before the record is rejected.
 constexpr std::uint32_t kMaxStringId = 1u << 24;
 constexpr int kMaxEventKind = 64;
 
@@ -37,17 +36,17 @@ bool parse_record(std::string_view tag, records::Reader& r,
   std::size_t nlocks = 0;
   if (tag != "E" ||
       !r.num(&e.seq, &e.tid, &e.rank, &kind, &e.obj, &e.aux, &nlocks) ||
-      kind < 0 || kind > kMaxEventKind || nlocks > kMaxLocksPerEvent) {
+      kind < 0 || kind > kMaxEventKind) {
     return false;
   }
   e.kind = static_cast<EventKind>(kind);
-  e.locks_held.resize(nlocks);
-  for (ObjId& lock : e.locks_held) {
-    if (!r.num(&lock)) return false;
+  // One lock per token read, so a corrupt count allocates nothing extra.
+  for (std::size_t i = 0; i < nlocks; ++i) {
+    if (!r.num(&e.locks_held.emplace_back())) return false;
   }
   std::string_view marker;
   if (r.word(&marker)) {
-    MpiCallInfo info;
+    MpiCallInfo& info = e.mpi.emplace();
     int type = 0, main_thread = 0, provided = 0;
     if (marker != "M" ||
         !r.num(&type, &info.peer, &info.tag, &info.comm, &info.request,
@@ -57,7 +56,6 @@ bool parse_record(std::string_view tag, records::Reader& r,
     info.type = static_cast<MpiCallType>(type);
     info.on_main_thread = main_thread != 0;
     info.provided = static_cast<std::uint8_t>(provided);
-    e.mpi = info;
   }
   result->events.push_back(std::move(e));
   return true;
@@ -119,11 +117,9 @@ void save_trace_file(const std::string& path, const TraceLog& log) {
 }
 
 LoadedTrace load_trace_file(const std::string& path) {
-  std::string text;
-  if (!records::read_file(path, &text)) {
-    throw std::runtime_error("trace_io: cannot open " + path);
-  }
-  return parse_trace(text, records::Mode::kStrict, nullptr);
+  const std::optional<std::string> text = records::read_file(path);
+  if (!text) throw std::runtime_error("trace_io: cannot open " + path);
+  return parse_trace(*text, records::Mode::kStrict, nullptr);
 }
 
 }  // namespace home::trace

@@ -39,18 +39,16 @@ bool Reader::take_line() {
 
 int Reader::header(std::initializer_list<std::string_view> versions) {
   if (take_line()) {
-    int index = 0;
-    for (std::string_view v : versions) {
+    for (std::size_t i = 0; i < versions.size(); ++i) {
+      const std::string_view v = versions.begin()[i];
       if (line_.substr(0, v.size()) == v &&
           (line_.size() == v.size() || line_[v.size()] == ' ')) {
-        return index;
+        return static_cast<int>(i);
       }
-      ++index;
     }
     if (mode_ == Mode::kLenient) {
       ++skipped_;
-      header_miss_ = line_no_;
-      replay_ = true;
+      pos_ = line_no_ = 0;  // offer line 1 again, as a record.
     }
   }
   if (mode_ == Mode::kStrict) {
@@ -61,8 +59,7 @@ int Reader::header(std::initializer_list<std::string_view> versions) {
 }
 
 bool Reader::next() {
-  while (ok() && (replay_ || take_line())) {
-    replay_ = false;
+  while (ok() && take_line()) {
     const std::size_t first = line_.find_first_not_of(kSeparators);
     if (first == std::string_view::npos || line_[first] == '#') continue;
     unread_ = line_;
@@ -75,8 +72,8 @@ void Reader::reject() {
   if (mode_ == Mode::kStrict) {
     error_ = "line " + std::to_string(line_no_) + ": malformed record '" +
              std::string(line_.substr(0, 80)) + "'";
-  } else if (line_no_ != header_miss_) {
-    ++skipped_;  // a torn head line was already counted once.
+  } else if (line_no_ != 1) {
+    ++skipped_;  // a record on line 1 replaced the header, counted once.
   }
 }
 
@@ -101,9 +98,8 @@ bool Reader::rest(std::string* out) {
 }
 
 Writer& Writer::tag(std::string_view tag) {
-  if (open_) out_ += '\n';
+  if (!out_.empty()) out_ += '\n';
   out_ += tag;
-  open_ = true;
   return *this;
 }
 
@@ -128,8 +124,7 @@ Writer& Writer::escaped(std::string_view s, bool keep_blanks) {
 }
 
 std::string Writer::take() {
-  if (open_) out_ += '\n';
-  open_ = false;
+  if (!out_.empty()) out_ += '\n';
   return std::exchange(out_, {});
 }
 
@@ -139,11 +134,10 @@ std::string read_stream(std::istream& in) {
   return std::move(buf).str();
 }
 
-bool read_file(const std::string& path, std::string* out) {
+std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  *out = read_stream(in);
-  return true;
+  if (!in) return std::nullopt;
+  return read_stream(in);
 }
 
 bool write_file(const std::string& path, std::string_view text) {

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -32,11 +33,10 @@ bool parse_number(std::string_view token, T* out) {
 /// are skipped).  False on an item without '=' or when `visit` refuses one.
 template <class Visit>
 bool read_pairs(std::string_view list, char sep, Visit&& visit) {
-  for (std::size_t cut = 0; !list.empty(); list.remove_prefix(cut)) {
-    cut = std::min(list.find(sep), list.size());
-    const std::string_view item = list.substr(0, cut);
+  while (!list.empty()) {
+    const std::string_view item = list.substr(0, list.find(sep));
     const std::size_t eq = item.find('=');
-    cut = std::min(cut + 1, list.size());
+    list.remove_prefix(std::min(item.size() + 1, list.size()));
     if (!item.empty() && (eq == std::string_view::npos ||
                           !visit(item.substr(0, eq), item.substr(eq + 1)))) {
       return false;
@@ -59,8 +59,8 @@ class Reader {
   /// `versions` or extend it with ' ' and header fields (read them from
   /// line()).  Returns the index of the match, or -1.  On a miss, strict
   /// mode stops with an error; lenient mode counts one damaged record and
-  /// offers the line again as a record, so a file with its head torn off
-  /// keeps it.
+  /// offers the line again as a record (not counted twice), so a file with
+  /// its head torn off keeps it.
   int header(std::initializer_list<std::string_view> versions);
   /// Moves to the next record line, skipping blank and '#' lines.  False at
   /// the end or after a strict-mode error.
@@ -105,9 +105,7 @@ class Reader {
   std::size_t pos_ = 0;
   std::size_t line_no_ = 0;
   std::string_view line_;
-  std::string_view unread_;      ///< fields of line_ not read yet.
-  std::size_t header_miss_ = 0;  ///< line number of a missed header.
-  bool replay_ = false;          ///< offer line_ again from next().
+  std::string_view unread_;  ///< fields of line_ not read yet.
   std::size_t skipped_ = 0;
   std::string error_;
 };
@@ -117,7 +115,7 @@ class Reader {
 class Writer {
  public:
   Writer() = default;
-  explicit Writer(std::string_view header) : out_(header), open_(true) {}
+  explicit Writer(std::string_view header) : out_(header) {}
 
   Writer& tag(std::string_view tag);
   template <class... T>
@@ -135,12 +133,11 @@ class Writer {
  private:
   Writer& escaped(std::string_view s, bool keep_blanks);
 
-  std::string out_;
-  bool open_ = false;
+  std::string out_;  ///< its last line is still open.
 };
 
 std::string read_stream(std::istream& in);
-bool read_file(const std::string& path, std::string* out);
+std::optional<std::string> read_file(const std::string& path);
 bool write_file(const std::string& path, std::string_view text);
 
 /// save() (overwrites) and load() (false on I/O or parse failure) for a
@@ -151,8 +148,8 @@ struct TextFile {
     return write_file(path, static_cast<const T&>(*this).to_string());
   }
   static bool load(const std::string& path, T* out) {
-    std::string text;
-    return read_file(path, &text) && T::parse(text, out);
+    const std::optional<std::string> text = read_file(path);
+    return text && T::parse(*text, out);
   }
 };
 
