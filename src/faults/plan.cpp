@@ -1,6 +1,7 @@
 #include "src/faults/plan.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "src/util/records.hpp"
 
@@ -35,13 +36,25 @@ bool parse_fault_kind(const std::string& name, FaultKind* out) {
 }
 
 std::string FaultSpec::to_string() const {
-  std::ostringstream os;
-  os << "delay=" << msg_delay_p << ",drop=" << msg_drop_p
-     << ",stall=" << rank_stall_p << ",crash=" << rank_crash_p
-     << ",lockpause=" << lock_pause_p << ",qpressure=" << queue_pressure_p
-     << ",max_delay_us=" << max_delay_us << ",redeliver_us=" << redeliver_delay_us
-     << ",max_crashes=" << max_crashes;
-  return os.str();
+  // std::to_chars prints the shortest text that reads back to the same
+  // value, so a recorded spec reloads exactly.
+  std::string out;
+  const auto field = [&out](std::string_view key, auto value) {
+    char buf[32];
+    if (!out.empty()) out += ',';
+    (out += key) += '=';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  field("delay", msg_delay_p);
+  field("drop", msg_drop_p);
+  field("stall", rank_stall_p);
+  field("crash", rank_crash_p);
+  field("lockpause", lock_pause_p);
+  field("qpressure", queue_pressure_p);
+  field("max_delay_us", max_delay_us);
+  field("redeliver_us", redeliver_delay_us);
+  field("max_crashes", max_crashes);
+  return out;
 }
 
 bool FaultSpec::parse(const std::string& text, FaultSpec* out) {

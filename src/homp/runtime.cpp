@@ -111,12 +111,17 @@ void parallel(int nthreads, const std::function<void()>& body) {
 
   // Pre-register worker tids so the master can emit fork events that are
   // stamped before any child event (the HB replay relies on this order).
+  // A registered master reuses its pool at this nesting level: slot i keeps
+  // its tid across regions, while fork and join edges stay per region.
   std::vector<trace::Tid> worker_tids(static_cast<std::size_t>(n), trace::kNoTid);
   if (registry) {
     const trace::Tid parent = registry->current_tid();
+    const int level = static_cast<int>(tls_stack.size());
     for (int i = 1; i < n; ++i) {
       worker_tids[static_cast<std::size_t>(i)] =
-          registry->register_thread(parent, rank, /*is_rank_main=*/false);
+          parent == trace::kNoTid
+              ? registry->register_thread(parent, rank, /*is_rank_main=*/false)
+              : registry->worker_thread(parent, level, i, rank);
       internal::emit_plain(trace::EventKind::kThreadFork,
                            static_cast<trace::ObjId>(
                                worker_tids[static_cast<std::size_t>(i)]));

@@ -8,22 +8,25 @@
 namespace home::trace {
 namespace {
 
-// Cached registration for the calling thread.  The epoch guards against
-// stale tids surviving a ThreadRegistry::reset() (tests run many sessions on
-// the same OS threads).
+// Cached registration for the calling thread, tagged with the serial of the
+// registry that made it.  Serials are never reused, so a tid survives neither
+// a ThreadRegistry::reset() nor a new registry built at a dead one's address
+// (tests run many sessions on the same OS threads).
 struct LocalSlot {
-  const ThreadRegistry* registry = nullptr;
-  std::uint64_t epoch = 0;
+  std::uint64_t serial = 0;
   Tid tid = kNoTid;
 };
 
 thread_local LocalSlot tls_slot;
 
-std::atomic<std::uint64_t> g_epoch{1};
-
-std::uint64_t current_epoch() { return g_epoch.load(std::memory_order_acquire); }
+std::uint64_t next_serial() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
+
+ThreadRegistry::ThreadRegistry() : serial_(next_serial()) {}
 
 Tid ThreadRegistry::register_current_thread(Tid parent, int rank, bool is_rank_main) {
   const Tid tid = register_thread(parent, rank, is_rank_main);
@@ -38,8 +41,18 @@ Tid ThreadRegistry::register_thread(Tid parent, int rank, bool is_rank_main) {
   return tid;
 }
 
+Tid ThreadRegistry::worker_thread(Tid parent, int level, int slot, int rank) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [it, fresh] = pool_.try_emplace({parent, level, slot, rank}, kNoTid);
+  if (fresh) {
+    it->second = static_cast<Tid>(threads_.size());
+    threads_.push_back(ThreadInfo{it->second, parent, rank, false});
+  }
+  return it->second;
+}
+
 void ThreadRegistry::bind_current_thread(Tid tid) {
-  tls_slot = LocalSlot{this, current_epoch(), tid};
+  tls_slot = LocalSlot{serial_.load(std::memory_order_acquire), tid};
   // Name the thread for log lines and the telemetry span timeline:
   // "rank0.main" / "rank1.w3" for rank-attached threads, "t<tid>" otherwise.
   const ThreadInfo ti = info(tid);
@@ -61,7 +74,7 @@ void ThreadRegistry::bind_current_thread(Tid tid) {
 }
 
 Tid ThreadRegistry::current_tid() const {
-  if (tls_slot.registry == this && tls_slot.epoch == current_epoch()) {
+  if (tls_slot.serial == serial_.load(std::memory_order_acquire)) {
     return tls_slot.tid;
   }
   return kNoTid;
@@ -95,7 +108,8 @@ int ThreadRegistry::thread_count() const {
 void ThreadRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   threads_.clear();
-  g_epoch.fetch_add(1, std::memory_order_acq_rel);
+  pool_.clear();
+  serial_.store(next_serial(), std::memory_order_release);
 }
 
 ThreadRegistry& ThreadRegistry::global() {

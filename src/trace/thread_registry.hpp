@@ -7,8 +7,11 @@
 // predicates for MPI_THREAD_FUNNELED and MPI_Finalize need the latter.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "src/trace/event.hpp"
@@ -24,13 +27,24 @@ struct ThreadInfo {
 
 class ThreadRegistry {
  public:
-  /// Register the calling thread. Idempotent per thread per registry epoch.
+  ThreadRegistry();
+
+  /// Register the calling thread under a new tid and bind it to that tid.
   Tid register_current_thread(Tid parent, int rank, bool is_rank_main);
 
   /// Allocate a tid for a thread that has not started yet (so the parent can
   /// emit the ThreadFork event before the child runs); the child later calls
   /// bind_current_thread(tid).
   Tid register_thread(Tid parent, int rank, bool is_rank_main);
+
+  /// The tid of worker `slot` in a team forked by `parent` at nesting
+  /// `level` on `rank`: a fresh tid (registered like register_thread) on
+  /// first use, the same tid for every later team of that parent at that
+  /// level.  Like a pooled OpenMP runtime, the clocks then get one component
+  /// per pool thread, not per region.  The level keeps a master's nested
+  /// team apart from the enclosing team it is still part of.  `parent` must
+  /// not be kNoTid: unrelated unregistered callers would share one pool.
+  Tid worker_thread(Tid parent, int level, int slot, int rank);
 
   /// Bind a pre-registered tid to the calling thread.
   void bind_current_thread(Tid tid);
@@ -46,7 +60,8 @@ class ThreadRegistry {
   ThreadInfo info(Tid tid) const;
   int thread_count() const;
 
-  /// Drop all registrations (between independent tool sessions/tests).
+  /// Drop all registrations and worker pools (between independent tool
+  /// sessions/tests).
   void reset();
 
   /// The registry used by the substrates unless a session installs another.
@@ -54,7 +69,10 @@ class ThreadRegistry {
 
  private:
   mutable std::mutex mu_;
+  std::atomic<std::uint64_t> serial_;  ///< renewed by reset().
   std::vector<ThreadInfo> threads_;
+  /// (parent, level, slot, rank) -> worker tid.
+  std::map<std::tuple<Tid, int, int, int>, Tid> pool_;
 };
 
 }  // namespace home::trace

@@ -1,5 +1,6 @@
 #include "src/trace/trace_io.hpp"
 
+#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -77,10 +78,20 @@ LoadedTrace parse_trace(std::string_view text, records::Mode mode,
   return result;
 }
 
-std::string trace_text(const TraceLog& log) {
+}  // namespace
+
+// Written in chunks of about kChunkBytes, so saving a trace never holds a
+// second, textual copy of it.
+void write_trace(std::ostream& out, const TraceLog& log) {
+  constexpr std::size_t kChunkBytes = 64 * 1024;
   records::Writer w(kHeader);
+  const auto flush = [&out, &w] {
+    const std::string chunk = w.take();
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+  };
   for (std::uint32_t i = 0; i < log.strings().size(); ++i) {
     w.tag("S").num(i).str(log.strings().lookup(i));
+    if (w.size() >= kChunkBytes) flush();
   }
   for (const Event& e : log.sorted_events()) {
     w.tag("E").num(e.seq, e.tid, e.rank, static_cast<int>(e.kind), e.obj,
@@ -92,14 +103,9 @@ std::string trace_text(const TraceLog& log) {
                      m.request, m.on_main_thread ? 1 : 0,
                      static_cast<int>(m.provided), m.callsite);
     }
+    if (w.size() >= kChunkBytes) flush();
   }
-  return w.take();
-}
-
-}  // namespace
-
-void write_trace(std::ostream& out, const TraceLog& log) {
-  out << trace_text(log);
+  flush();
 }
 
 LoadedTrace read_trace(std::istream& in) {
@@ -111,9 +117,9 @@ LoadedTrace read_trace_lenient(std::istream& in, ReadStats* stats) {
 }
 
 void save_trace_file(const std::string& path, const TraceLog& log) {
-  if (!records::write_file(path, trace_text(log))) {
-    throw std::runtime_error("trace_io: cannot write " + path);
-  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (out) write_trace(out, log);
+  if (!out) throw std::runtime_error("trace_io: cannot write " + path);
 }
 
 LoadedTrace load_trace_file(const std::string& path) {

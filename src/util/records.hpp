@@ -128,7 +128,10 @@ class Writer {
   Writer& str(std::string_view s) { return escaped(s, false); }
   Writer& rest(std::string_view s) { return escaped(s, true); }
   /// The finished text (the open line ended); the writer is left empty.
+  /// Texts taken one after another concatenate to the text one take() at
+  /// the end would give, so a long text can be written out in chunks.
   std::string take();
+  std::size_t size() const { return out_.size(); }
 
  private:
   Writer& escaped(std::string_view s, bool keep_blanks);

@@ -39,6 +39,23 @@ TEST(FaultSpec, RoundTripsText) {
   EXPECT_EQ(parsed.max_crashes, spec.max_crashes);
 }
 
+TEST(FaultSpec, TextRoundTripIsExact) {
+  faults::FaultSpec spec;
+  spec.msg_delay_p = 0.1234567;
+  spec.msg_drop_p = 1.0 / 3.0;
+  spec.rank_stall_p = 1e-9;
+  spec.lock_pause_p = 0.1;
+
+  const std::string text = spec.to_string();
+  faults::FaultSpec parsed;
+  ASSERT_TRUE(faults::FaultSpec::parse(text, &parsed));
+  EXPECT_EQ(parsed.msg_delay_p, spec.msg_delay_p);
+  EXPECT_EQ(parsed.msg_drop_p, spec.msg_drop_p);
+  EXPECT_EQ(parsed.rank_stall_p, spec.rank_stall_p);
+  EXPECT_EQ(parsed.to_string(), text);
+  EXPECT_NE(text.find("delay=0.1234567,"), std::string::npos) << text;
+}
+
 TEST(FaultSpec, ParseRejectsUnknownKey) {
   faults::FaultSpec spec;
   EXPECT_FALSE(faults::FaultSpec::parse("frobnicate=1", &spec));

@@ -257,6 +257,100 @@ TEST(Instrumented, ParallelEmitsForkJoinAndRegionEvents) {
   EXPECT_EQ(ends, 1);
 }
 
+TEST(Instrumented, RegionsReuseTheMastersWorkerTids) {
+  trace::TraceLog log;
+  trace::ThreadRegistry registry;
+  const trace::Tid master = registry.register_current_thread(trace::kNoTid, 0, true);
+  install_instrumentation({&log, &registry});
+  std::mutex mu;
+  std::map<int, std::set<trace::Tid>> tids_by_slot;
+  for (int region = 0; region < 4; ++region) {
+    parallel(4, [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      tids_by_slot[thread_num()].insert(registry.current_tid());
+    });
+  }
+  clear_instrumentation();
+
+  EXPECT_EQ(registry.thread_count(), 4);  // the master and three workers.
+  ASSERT_EQ(tids_by_slot.size(), 4u);
+  EXPECT_EQ(tids_by_slot[0], (std::set<trace::Tid>{master}));
+  for (int slot = 1; slot < 4; ++slot) {
+    ASSERT_EQ(tids_by_slot[slot].size(), 1u) << "slot " << slot;
+    const trace::ThreadInfo info = registry.info(*tids_by_slot[slot].begin());
+    EXPECT_EQ(info.parent, master);
+    EXPECT_FALSE(info.is_rank_main);
+  }
+
+  // Fork and join edges stay per region: each worker once per region.
+  std::map<trace::ObjId, int> forks, joins;
+  int begins = 0;
+  for (const auto& e : log.sorted_events()) {
+    if (e.kind == trace::EventKind::kThreadFork) ++forks[e.obj];
+    if (e.kind == trace::EventKind::kThreadJoin) ++joins[e.obj];
+    if (e.kind == trace::EventKind::kRegionBegin) ++begins;
+  }
+  EXPECT_EQ(begins, 4);
+  ASSERT_EQ(forks.size(), 3u);
+  for (const auto& [tid, n] : forks) EXPECT_EQ(n, 4) << "fork of " << tid;
+  EXPECT_EQ(joins, forks);
+}
+
+TEST(Instrumented, NestedRegionsGetTheirOwnStablePool) {
+  trace::TraceLog log;
+  trace::ThreadRegistry registry;
+  registry.register_current_thread(trace::kNoTid, 0, true);
+  install_instrumentation({&log, &registry});
+  std::mutex mu;
+  std::set<trace::Tid> outer_team;
+  // (outer slot, inner slot) -> every tid that ran it.
+  std::map<std::pair<int, int>, std::set<trace::Tid>> inner;
+  for (int region = 0; region < 3; ++region) {
+    parallel(2, [&] {
+      const int outer_slot = thread_num();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        outer_team.insert(registry.current_tid());
+      }
+      parallel(2, [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        inner[{outer_slot, thread_num()}].insert(registry.current_tid());
+      });
+    });
+  }
+  clear_instrumentation();
+
+  EXPECT_EQ(outer_team.size(), 2u);
+  ASSERT_EQ(inner.size(), 4u);
+  std::set<trace::Tid> inner_workers;
+  for (int outer_slot = 0; outer_slot < 2; ++outer_slot) {
+    const auto& workers = inner[{outer_slot, 1}];
+    ASSERT_EQ(workers.size(), 1u) << "outer slot " << outer_slot;
+    EXPECT_EQ(outer_team.count(*workers.begin()), 0u);
+    inner_workers.insert(*workers.begin());
+  }
+  // One pool per outer thread, the master's nested pool included.
+  EXPECT_EQ(inner_workers.size(), 2u);
+  EXPECT_EQ(registry.thread_count(), 4);
+}
+
+TEST(Instrumented, UnregisteredMasterGetsFreshWorkerTids) {
+  trace::TraceLog log;
+  trace::ThreadRegistry registry;
+  install_instrumentation({&log, &registry});
+  parallel(3, [] {});
+  parallel(3, [] {});
+  clear_instrumentation();
+
+  // No parent to pool under: two workers per region, four tids in all.
+  EXPECT_EQ(registry.thread_count(), 4);
+  std::set<trace::ObjId> forked;
+  for (const auto& e : log.sorted_events()) {
+    if (e.kind == trace::EventKind::kThreadFork) forked.insert(e.obj);
+  }
+  EXPECT_EQ(forked.size(), 4u);
+}
+
 TEST(Instrumented, BarrierArrivalsPrecedeReleases) {
   trace::TraceLog log;
   trace::ThreadRegistry registry;

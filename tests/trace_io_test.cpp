@@ -2,7 +2,10 @@
 // and the instrumentation-plan file handoff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "src/home/check.hpp"
@@ -124,6 +127,39 @@ TEST(TraceIo, FileRoundTrip) {
   trace::save_trace_file(path, log);
   const auto loaded = trace::load_trace_file(path);
   EXPECT_EQ(loaded.events.size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, LongTraceIsWrittenWholeAcrossChunks) {
+  // About 200 kB of text: write_trace flushes it in chunks, and the
+  // chunk seams must not drop or double a line break.
+  constexpr int kEvents = 6000;
+  trace::TraceLog log;
+  for (int i = 0; i < kEvents; ++i) {
+    auto e = make_event(i % 7, trace::EventKind::kMemWrite, 1000 + i);
+    e.locks_held = {11, 12, static_cast<trace::ObjId>(i)};
+    log.emit(std::move(e));
+  }
+  std::stringstream buffer;
+  trace::write_trace(buffer, log);
+  const std::string text = buffer.str();
+  ASSERT_GT(text.size(), 128u * 1024);
+  // The header, one line per interned string, one per event.
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+            1 + static_cast<std::ptrdiff_t>(log.strings().size()) + kEvents);
+  EXPECT_EQ(text.find("\n\n"), std::string::npos);
+  EXPECT_EQ(text.back(), '\n');
+
+  const trace::LoadedTrace loaded = trace::read_trace(buffer);
+  ASSERT_EQ(loaded.events.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(loaded.events.back().locks_held.back(),
+            static_cast<trace::ObjId>(kEvents - 1));
+
+  const std::string path = testing::TempDir() + "/home_trace_long.txt";
+  trace::save_trace_file(path, log);
+  std::ifstream in(path, std::ios::binary);
+  const std::string saved{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_EQ(saved, text);
   std::remove(path.c_str());
 }
 

@@ -134,6 +134,40 @@ TEST(ThreadRegistry, PreRegistrationAndBinding) {
   EXPECT_EQ(registry.thread_count(), 2);
 }
 
+TEST(ThreadRegistry, WorkerPoolIsKeyedByParentLevelAndSlot) {
+  ThreadRegistry registry;
+  const Tid main0 = registry.register_current_thread(kNoTid, 0, true);
+  const Tid main1 = registry.register_thread(kNoTid, 1, true);
+  const Tid w1 = registry.worker_thread(main0, 0, 1, 0);
+  const Tid w2 = registry.worker_thread(main0, 0, 2, 0);
+  EXPECT_NE(w1, w2);
+  EXPECT_EQ(registry.worker_thread(main0, 0, 1, 0), w1);
+  EXPECT_EQ(registry.worker_thread(main0, 0, 2, 0), w2);
+  // The same master one nesting level down forks a team of its own.
+  const Tid nested = registry.worker_thread(main0, 1, 1, 0);
+  EXPECT_NE(nested, w1);
+  const Tid other = registry.worker_thread(main1, 0, 1, 1);
+  EXPECT_NE(other, w1);
+  EXPECT_EQ(registry.info(other).parent, main1);
+  EXPECT_EQ(registry.info(other).rank, 1);
+  EXPECT_FALSE(registry.info(w1).is_rank_main);
+  EXPECT_EQ(registry.thread_count(), 6);
+}
+
+TEST(ThreadRegistry, ResetEmptiesWorkerPool) {
+  ThreadRegistry registry;
+  const Tid parent = registry.register_current_thread(kNoTid, 0, true);
+  registry.register_thread(kNoTid, 1, true);
+  EXPECT_EQ(registry.worker_thread(parent, 0, 1, 0), 2);
+  registry.reset();
+  EXPECT_EQ(registry.thread_count(), 0);
+  // The old pool entry (tid 2) must not survive: slot 1 of tid 0 is
+  // registered afresh, right after its new parent.
+  EXPECT_EQ(registry.register_current_thread(kNoTid, 0, true), parent);
+  EXPECT_EQ(registry.worker_thread(parent, 0, 1, 0), 1);
+  EXPECT_EQ(registry.thread_count(), 2);
+}
+
 TEST(ThreadRegistry, InfoOutOfRangeIsEmpty) {
   ThreadRegistry registry;
   EXPECT_EQ(registry.info(42).tid, kNoTid);
